@@ -19,25 +19,23 @@ result would not be exact.
 Hardware-efficient execution (Section 5.4): the first ``B`` items of each
 walk are shared across all of the cluster's users as one blocked matrix
 multiply (paper default B=4096); the remainder is walked in smaller
-vectorized chunks with per-chunk deactivation.  ``shared=False`` is the
-lesion variant (per-user walk, no cross-user work sharing) used by the
-Fig. 8 blocking lesion study.
+vectorized chunks with per-chunk deactivation.  The walk is
+``repro.linalg.bounded_walk``, the one LEMP-lite runs over its norm-sorted
+list.  ``shared=False`` is the lesion variant (per-user walk, no
+cross-user work sharing) used by the Fig. 8 blocking lesion study.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.kmeans import kmeans
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.kernels import (
-    angles_to,
-    canonical_topk,
-    merge_topk,
-    row_norms,
-    topk_with_ids,
-)
+from repro.linalg.bounded_walk import bounded_walk
+from repro.linalg.kernels import angles_to, row_norms
+from repro.linalg.kernels import merge_topk, topk_with_ids  # noqa: F401  (patched by mipsbench/tracing.py)
 from repro.mf.models import MFModel
 
 DEFAULT_CLUSTERS = 8  # paper: C=8
@@ -58,34 +56,15 @@ def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float) -> np.n
     )
 
 
+@dataclass(frozen=True)
 class _ClusterList:
-    """One cluster's sorted index list.
+    """One cluster's item list, sorted by descending bound ``r*_ci``."""
 
-    Only the shared prefix is materialized densely (``items_prefix``);
-    post-prefix chunks are gathered lazily from the model's item matrix at
-    query time.  Materializing the full sorted copy per cluster would
-    duplicate the item matrix C times — measurably slow under this
-    container's (gVisor) memory subsystem and pointless for users that
-    terminate early.
-    """
-
-    __slots__ = ("center", "theta_b", "item_order", "bounds", "items_prefix", "user_rows")
-
-    def __init__(
-        self,
-        center: np.ndarray,
-        theta_b: float,
-        item_order: np.ndarray,
-        bounds: np.ndarray,
-        items_prefix: np.ndarray,
-        user_rows: np.ndarray,
-    ):
-        self.center = center
-        self.theta_b = theta_b
-        self.item_order = item_order
-        self.bounds = bounds
-        self.items_prefix = items_prefix
-        self.user_rows = user_rows
+    center: np.ndarray
+    theta_b: float
+    item_order: np.ndarray
+    bounds: np.ndarray
+    user_rows: np.ndarray
 
 
 class RecdexIndex(Strategy):
@@ -128,6 +107,9 @@ class RecdexIndex(Strategy):
         labels, centers = kmeans(
             model.users, self.n_clusters, n_iters=self.kmeans_iters, seed=self.seed
         )
+        # Renumber the non-empty clusters 0..C'-1 so a label indexes ``clusters``.
+        present, labels = np.unique(labels, return_inverse=True)
+        centers = centers[present]
         t1 = time.perf_counter()
         item_norms = row_norms(model.items)
         clusters: list[_ClusterList] = []
@@ -135,8 +117,6 @@ class RecdexIndex(Strategy):
         sort_time = 0.0
         for j in range(centers.shape[0]):
             user_rows = np.nonzero(labels == j)[0]
-            if user_rows.size == 0:
-                continue
             ts = time.perf_counter()
             theta_b = float(angles_to(model.users[user_rows], centers[j]).max())
             theta_ic = angles_to(model.items, centers[j])
@@ -145,14 +125,12 @@ class RecdexIndex(Strategy):
             ts = time.perf_counter()
             order = np.argsort(-bounds, kind="stable")
             sort_time += time.perf_counter() - ts
-            prefix_len = min(max(self.block, self.walk_chunk), model.n)
             clusters.append(
                 _ClusterList(
                     center=centers[j],
                     theta_b=theta_b,
                     item_order=order,
                     bounds=bounds[order],
-                    items_prefix=model.items[order[:prefix_len]],
                     user_rows=user_rows,
                 )
             )
@@ -169,87 +147,26 @@ class RecdexIndex(Strategy):
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
-        model = self.model
-        k = min(k, model.n)
-        m = len(user_rows)
-        out_ids = np.empty((m, k), dtype=np.int64)
-        out_scores = np.empty((m, k))
-        # Position of each requested user in the output.
-        pos_of = {int(r): i for i, r in enumerate(user_rows)}
-        assert self.labels is not None
-        req = np.asarray(user_rows)
-        for cl in self.clusters:
-            rows = cl.user_rows[np.isin(cl.user_rows, req)]
-            if rows.size == 0:
-                continue
-            ids, scores = self._walk_cluster(cl, rows, k)
-            out_idx = np.fromiter((pos_of[int(r)] for r in rows), dtype=np.int64)
-            out_ids[out_idx] = ids
-            out_scores[out_idx] = scores
+        user_rows = np.asarray(user_rows)
+        k = min(k, self.model.n)
+        out_ids = np.empty((len(user_rows), k), dtype=np.int64)
+        out_scores = np.empty((len(user_rows), k))
+        labels = self.labels[user_rows]
+        first = self.block if self.shared else self.walk_chunk
+        for j, cl in enumerate(self.clusters):
+            at = np.nonzero(labels == j)[0]
+            # The lesion walks each user alone, so nothing is shared.
+            for group in [at] if self.shared else at[:, None]:
+                if not group.size:
+                    continue
+                out_ids[group], out_scores[group], scored = bounded_walk(
+                    self.model.users[user_rows[group]],
+                    self.model.items,
+                    cl.item_order,
+                    cl.bounds,
+                    k,
+                    first=first,
+                    chunk=self.walk_chunk,
+                )
+                self.items_visited += scored
         return TopK(ids=out_ids, scores=out_scores)
-
-    def _walk_cluster(
-        self, cl: _ClusterList, rows: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        users = self.model.users[rows]
-        if self.shared:
-            return self._walk_shared(cl, users, k)
-        mc = len(rows)
-        ids = np.empty((mc, k), dtype=np.int64)
-        scores = np.empty((mc, k))
-        for i in range(mc):
-            a, b = self._walk_shared(cl, users[i : i + 1], k)
-            ids[i], scores[i] = a[0], b[0]
-        return ids, scores
-
-    def _sorted_items(self, cl: _ClusterList, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) of the cluster's bound-sorted item list."""
-        if stop <= cl.items_prefix.shape[0]:
-            return cl.items_prefix[start:stop]
-        return self.model.items.take(cl.item_order[start:stop], axis=0)
-
-    def _walk_shared(
-        self, cl: _ClusterList, users: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked walk: shared prefix GEMM, then chunked early-terminating walk."""
-        n = len(cl.item_order)
-        mc = users.shape[0]
-        u_norms = row_norms(users)
-        # Users with zero norm score 0 on everything; never prune for them
-        # (division guard) — their top-K is the k smallest item ids, which
-        # the canonical tie-break produces by visiting everything.
-        inv_norms = np.where(u_norms > 0, 1.0 / np.maximum(u_norms, 1e-300), np.inf)
-
-        # The prefix must cover at least k items so the heap is full before
-        # any pruning decision is made.
-        b0 = min(max(self.block if self.shared else self.walk_chunk, k), n)
-        scores0 = users @ self._sorted_items(cl, 0, b0).T
-        top_ids, top_scores = topk_with_ids(cl.item_order[:b0], scores0, k)
-        self.items_visited += mc * b0
-        kth_norm = top_scores[:, -1] * np.where(np.isinf(inv_norms), 0.0, inv_norms)
-        kth_norm = np.where(u_norms > 0, kth_norm, -np.inf)
-
-        active = np.arange(mc)
-        pos = b0
-        while pos < n and active.size:
-            # Termination: the chunk's first bound is its max (lists are
-            # sorted descending); a user whose normalized kth beat it is done.
-            chunk_max = cl.bounds[pos]
-            keep = cl.bounds[pos] >= kth_norm[active] if np.isfinite(chunk_max) else np.ones(len(active), bool)
-            active = active[keep]
-            if active.size == 0:
-                break
-            stop = min(pos + self.walk_chunk, n)
-            chunk_scores = users[active] @ self._sorted_items(cl, pos, stop).T
-            chunk_ids = np.broadcast_to(cl.item_order[pos:stop], chunk_scores.shape)
-            ids_new, sc_new = merge_topk(
-                top_ids[active], top_scores[active], chunk_ids, chunk_scores, k
-            )
-            top_ids[active] = ids_new
-            top_scores[active] = sc_new
-            kth_norm[active] = np.where(
-                u_norms[active] > 0, sc_new[:, -1] / np.maximum(u_norms[active], 1e-300), -np.inf
-            )
-            self.items_visited += active.size * (stop - pos)
-            pos += self.walk_chunk
-        return canonical_topk(top_ids, top_scores)

@@ -69,9 +69,10 @@ def synthetic_ratings(
     """Low-rank ratings with user-community structure, clipped to [1, 5].
 
     Each user's true factor is a community direction plus isotropic jitter;
-    item factors are isotropic.  Observed entries are sampled uniformly at
-    ``density``; every user gets at least one observation so ALS never sees
-    an empty normal system.
+    item factors are isotropic.  Each user rates ``density · n_items``
+    distinct items drawn uniformly, and every user and every item gets at
+    least ``rank + 1`` ratings (capped by the other side's count), so each
+    ALS normal system is determined by more than one rating.
     """
     g = np.random.default_rng(seed)
     communities = g.normal(size=(n_communities, rank))
@@ -80,14 +81,18 @@ def synthetic_ratings(
     u_true = communities[membership] + 0.35 * g.normal(size=(n_users, rank))
     v_true = g.normal(size=(n_items, rank)) / np.sqrt(rank)
 
-    nnz = max(n_users, int(n_users * n_items * density))
-    user = g.integers(0, n_users, nnz)
-    item = g.integers(0, n_items, nnz)
-    # Guarantee coverage: one rating per user and per item.
-    user[:n_users] = np.arange(n_users)
-    item[:n_users] = g.integers(0, n_items, n_users)
-    if nnz >= n_users + n_items:
-        item[n_users : n_users + n_items] = np.arange(n_items)
+    # Per-row sampling: the first ``per_user`` of a random key order.
+    per_user = min(n_items, max(rank + 1, round(density * n_items)))
+    picked = np.argpartition(g.random((n_users, n_items)), per_user - 1, axis=1)[:, :per_user]
+    rated = np.zeros((n_users, n_items), dtype=bool)
+    rated[np.arange(n_users)[:, None], picked] = True
+    # Top up items left short with ratings from users who have not rated them.
+    per_item = min(n_users, rank + 1)
+    for j in np.nonzero(rated.sum(axis=0) < per_item)[0]:
+        unrated = np.nonzero(~rated[:, j])[0]
+        rated[g.choice(unrated, per_item - rated[:, j].sum(), replace=False), j] = True
+    user, item = np.nonzero(rated)
+    nnz = len(user)
 
     raw = np.einsum("ij,ij->i", u_true[user], v_true[item])
     # Affine-map scores into the star range before adding noise.
@@ -97,9 +102,24 @@ def synthetic_ratings(
 
 
 def train_test_split(ratings: Ratings, *, test_frac: float = 0.2, seed: int = 0) -> tuple[Ratings, Ratings]:
-    """Random split of observed entries into train/test parts."""
+    """Random per-user split of observed entries into train/test parts.
+
+    Each user sends ``round(test_frac · n_u)`` of its ``n_u`` ratings to the
+    test side, so no user is left with fewer training ratings than its
+    share.  A plain per-entry coin flip leaves some users with fewer than
+    ``f`` training ratings; at λ ≈ 0 their ALS solutions then collapse onto
+    the span of a few item vectors, which blurs the λ → concentration
+    effect Fig. 5 measures.
+    """
     g = np.random.default_rng(seed)
-    mask = g.random(ratings.nnz) < test_frac
+    # Rank each rating within its user by a random key; the lowest go to test.
+    key = g.random(ratings.nnz)
+    order = np.lexsort((key, ratings.user))
+    counts = np.bincount(ratings.user, minlength=ratings.n_users)
+    starts = np.cumsum(counts) - counts
+    rank_in_user = np.empty(ratings.nnz, dtype=np.int64)
+    rank_in_user[order] = np.arange(ratings.nnz) - np.repeat(starts, counts)
+    mask = rank_in_user < np.round(test_frac * counts)[ratings.user]
     def _sub(sel: np.ndarray) -> Ratings:
         return Ratings(
             user=ratings.user[sel],

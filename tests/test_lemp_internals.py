@@ -1,4 +1,4 @@
-"""White-box tests for LEMP-lite's bucket structure and pruning."""
+"""White-box tests for LEMP-lite's norm-sorted list and pruning."""
 import numpy as np
 import pytest
 
@@ -15,47 +15,31 @@ def built():
     return model, idx
 
 
-def test_bucket_count(built):
-    model, idx = built
-    assert len(idx.buckets) == int(np.ceil(model.n / 10))
+def _buckets(idx):
+    """The walk's buckets: consecutive ``bucket_size`` chunks of the norm-sorted list."""
+    starts = range(0, len(idx.order), idx.bucket_size)
+    return [(idx.order[s : s + idx.bucket_size], idx.bounds[s]) for s in starts]
 
 
 def test_buckets_cover_all_items(built):
     model, idx = built
-    all_ids = np.concatenate([b.ids for b in idx.buckets])
+    assert sorted(idx.order.tolist()) == list(range(model.n))
+    all_ids = np.concatenate([ids for ids, _ in _buckets(idx)])
     assert sorted(all_ids.tolist()) == list(range(model.n))
 
 
 def test_bucket_max_norms_descending(built):
-    _, idx = built
-    max_norms = [b.max_norm for b in idx.buckets]
+    model, idx = built
+    np.testing.assert_array_equal(idx.bounds, row_norms(model.items)[idx.order])
+    assert np.all(np.diff(idx.bounds) <= 0)
+    max_norms = [max_norm for _, max_norm in _buckets(idx)]
     assert all(a >= b - 1e-12 for a, b in zip(max_norms, max_norms[1:]))
 
 
 def test_items_within_bucket_have_norm_leq_max(built):
     model, idx = built
-    for b in idx.buckets:
-        assert row_norms(b.mat).max() <= b.max_norm + 1e-12
-
-
-def test_incremental_split_dims(built):
-    model, idx = built
-    for b in idx.buckets:
-        assert b.partial.shape[1] == idx.h
-        assert b.res_norms.shape == (len(b.ids),)
-        np.testing.assert_allclose(b.res_norms, row_norms(b.mat[:, idx.h:]))
-
-
-def test_incr_dims_override():
-    model = tiny_model(m=5, n=8, f=6, seed=2)
-    idx = LempIndex(model, bucket_size=4, incr_dims=2)
-    assert idx.h == 2
-
-
-def test_incr_dims_clamped_to_f():
-    model = tiny_model(m=5, n=8, f=3, seed=3)
-    idx = LempIndex(model, bucket_size=4, incr_dims=100)
-    assert idx.h == 3
+    for ids, max_norm in _buckets(idx):
+        assert row_norms(model.items[ids]).max() <= max_norm + 1e-12
 
 
 def test_pruning_actually_skips_buckets():

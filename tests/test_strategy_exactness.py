@@ -16,6 +16,7 @@ from repro.core.recdex import RecdexIndex
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
+from repro.linalg import bounded_walk as walk_module
 from repro.mf.models import MFModel, concentration_model, tiny_model
 from repro.validate import assert_valid_topk
 
@@ -98,11 +99,12 @@ def test_valid_with_zero_norm_user(name):
 def test_query_subset_matches_full(name):
     model = tiny_model(m=30, n=20, f=5, seed=10)
     strat = STRATEGIES[name](model)
-    rows = np.array([2, 5, 11, 29])
-    sub = strat.query(rows, 4)
     full = strat.query_all(4)
-    np.testing.assert_array_equal(sub.ids, full.ids[rows])
-    np.testing.assert_allclose(sub.scores, full.scores[rows])
+    # A sorted subset, then duplicated and unordered rows.
+    for rows in (np.array([2, 5, 11, 29]), np.array([11, 3, 3, 29, 2, 11])):
+        sub = strat.query(rows, 4)
+        np.testing.assert_array_equal(sub.ids, full.ids[rows])
+        np.testing.assert_allclose(sub.scores, full.scores[rows])
 
 
 # --- strict bitwise equality on integer models ----------------------------
@@ -138,3 +140,13 @@ def test_strict_zero_norm_user_ties(name):
     model = int_model(m=6, n=9, f=3, seed=12)
     model.users[2] = 0.0
     _strict_same(model, STRATEGIES[name], 3)
+
+
+@pytest.mark.parametrize("name", ["lemp", "recdex", "recdex-lesion"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_strict_across_walk_user_blocks(name, k, monkeypatch):
+    """A walk split into several user blocks answers as one block does."""
+    monkeypatch.setattr(walk_module, "USER_BLOCK", 3)
+    model = int_model(m=20, n=30, f=4, seed=13)
+    model.users[7] = 0.0
+    _strict_same(model, STRATEGIES[name], k)
