@@ -7,6 +7,7 @@ per-partition vectorized layering from DESIGN.md §4.
 import pytest
 
 from repro.core.recdex import RecdexIndex
+from repro.indexes.brute_force import BlockedMM
 from repro.spark_ops.frames import model_to_user_df
 from repro.spark_ops.serving import serve_topk
 
@@ -24,7 +25,7 @@ def served(spark, grid_models):
 def test_bench_spark_mm_topk(benchmark, spark, served):
     model, users_df = served
     n = benchmark.pedantic(
-        lambda: serve_topk(spark, users_df, model, K).count(), rounds=3, iterations=1
+        lambda: serve_topk(spark, users_df, BlockedMM(model), K).count(), rounds=3, iterations=1
     )
     assert n == model.m * K
 
@@ -33,9 +34,7 @@ def test_bench_spark_recdex_topk(benchmark, spark, served):
     model, users_df = served
     factory = lambda m: RecdexIndex(m, block=max(32, m.n // 8), walk_chunk=32)
     n = benchmark.pedantic(
-        lambda: serve_topk(
-            spark, users_df, model, K, strategy="recdex", factory=factory
-        ).count(),
+        lambda: serve_topk(spark, users_df, factory(model), K).count(),
         rounds=3,
         iterations=1,
     )

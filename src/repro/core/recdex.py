@@ -41,6 +41,7 @@ from repro.mf.models import MFModel
 DEFAULT_CLUSTERS = 8  # paper: C=8
 DEFAULT_BLOCK = 4096  # paper: B=4096
 _WALK_CHUNK = 64  # vectorized chunk size for the post-prefix walk
+_KMEANS_ITERS = 10
 
 
 def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float) -> np.ndarray:
@@ -81,16 +82,12 @@ class RecdexIndex(Strategy):
         block: int = DEFAULT_BLOCK,
         shared: bool = True,
         walk_chunk: int = _WALK_CHUNK,
-        kmeans_iters: int = 10,
-        seed: int = 0,
     ):
         super().__init__(model)
         self.n_clusters = n_clusters
         self.block = max(1, block)
         self.shared = shared
         self.walk_chunk = max(1, walk_chunk)
-        self.kmeans_iters = kmeans_iters
-        self.seed = seed
         self.clusters: list[_ClusterList] = []
         self.labels: np.ndarray | None = None
         #: wall-clock per construction stage, for the Fig. 8 breakdown
@@ -104,9 +101,7 @@ class RecdexIndex(Strategy):
             return
         model = self.model
         t0 = time.perf_counter()
-        labels, centers = kmeans(
-            model.users, self.n_clusters, n_iters=self.kmeans_iters, seed=self.seed
-        )
+        labels, centers = kmeans(model.users, self.n_clusters, n_iters=_KMEANS_ITERS, seed=0)
         # Renumber the non-empty clusters 0..C'-1 so a label indexes ``clusters``.
         present, labels = np.unique(labels, return_inverse=True)
         centers = centers[present]

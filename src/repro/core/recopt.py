@@ -3,10 +3,11 @@
 Implements Section 4:
 
 1. build each candidate index in full (construction is cheap relative to
-   traversal — Fig. 2);
-2. draw a random user sample (default 1 %, floored at ``min_sample`` so
-   batched kernels see real blocking effects — the paper's "at least four
-   L2 cache lines" requirement, expressed as a user-count floor here);
+   traversal — Fig. 2); blocked MM is always a candidate, with a no-op build;
+2. draw a random user sample (``SAMPLE_FRAC`` of the users, floored at
+   ``min_sample`` so batched kernels see real blocking effects — the
+   paper's "at least four L2 cache lines" requirement, expressed as a
+   user-count floor here);
 3. time blocked MM on the sample, then each index on the sample.  For
    *point-query* indexes (``batching=False``) a one-sample T-test on the
    per-user times against MM's per-user mean enables early stopping
@@ -25,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from repro.mf.models import MFModel
 # paper's 0.5 % sample fraction, so the floor is kept proportionally small.
 _MIN_TTEST_USERS = 16
 _TTEST_ALPHA = 0.05
+SAMPLE_FRAC = 0.01  # paper: 0.5–1 % of the users
+MIN_SAMPLE = 256
 
 
 @dataclass
@@ -46,7 +50,7 @@ class OptimizerReport:
 
     chosen: str
     est_totals: dict[str, float]  # strategy name -> estimated total seconds
-    build_times: dict[str, float]  # index name -> construction seconds
+    build_times: dict[str, float]  # strategy name -> construction seconds
     sample_size: int
     sample_users_measured: dict[str, int]  # per strategy (T-test may stop early)
     optimize_seconds: float  # builds + sample measurements
@@ -74,14 +78,11 @@ class Recopt:
     def __init__(
         self,
         model: MFModel,
-        index_factories: dict[str, "type | object"],
+        index_factories: dict[str, Callable[[MFModel], Strategy]],
         *,
         k: int,
-        sample_frac: float = 0.01,
-        min_sample: int = 256,
+        min_sample: int = MIN_SAMPLE,
         seed: int = 0,
-        use_ttest: bool = True,
-        mm_user_block: int = 1024,
     ):
         """``index_factories`` maps name -> callable(model) -> Strategy.
 
@@ -92,108 +93,87 @@ class Recopt:
         their cost and misclassify.  Point-query indexes don't pay the
         full floor: the T-test stops their measurement early.
         """
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.model = model
         self.index_factories = index_factories
         self.k = k
-        self.sample_frac = sample_frac
         self.min_sample = min_sample
         self.seed = seed
-        self.use_ttest = use_ttest
-        self.mm_user_block = mm_user_block
 
-    def estimate(self) -> tuple[OptimizerReport, dict[str, Strategy], dict]:
+    def estimate(self) -> tuple[OptimizerReport, Strategy, np.ndarray, TopK]:
         """Phases 1–4: build, sample, measure, extrapolate — no full serve.
 
-        Returns the report (``serve_seconds`` = 0), the built strategies
-        (including ``"mm"``), and the sampled artifacts needed to reuse
-        sample results (``covered`` row arrays and partial ``TopK``s per
-        strategy).  ``run`` completes the serve; the Spark optimizer
-        instead dispatches a distributed operator for the winner.
+        Returns the report (``serve_seconds`` = 0), the built winner, the
+        sample rows the winner answered (a point-query winner may have
+        stopped early on the T-test) and its ``TopK`` for them.  ``run``
+        serves the other users in this process; the Spark optimizer instead
+        serves every user with ``serve_topk`` and the winner.
         """
         model = self.model
         m = model.m
         g = np.random.default_rng(self.seed)
         t_opt0 = time.perf_counter()
 
-        # 1. Build every candidate index (timed individually).
-        indexes: dict[str, Strategy] = {}
+        # 1. Build every candidate, blocked MM first (timed individually).
+        candidates: dict[str, Strategy] = {}
         build_times: dict[str, float] = {}
-        for name, factory in self.index_factories.items():
+        for name, factory in {"mm": BlockedMM, **self.index_factories}.items():
             t0 = time.perf_counter()
-            idx = factory(model)
-            idx.build()
+            candidates[name] = factory(model)
+            candidates[name].build()
             build_times[name] = time.perf_counter() - t0
-            indexes[name] = idx
 
         # 2. Sample users.
-        s = min(m, max(self.min_sample, int(np.ceil(self.sample_frac * m))))
+        s = min(m, max(self.min_sample, int(np.ceil(SAMPLE_FRAC * m))))
         sample_rows = np.sort(g.choice(m, size=s, replace=False))
 
-        # 3. Measure blocked MM on the sample.
-        mm = BlockedMM(model, user_block=self.mm_user_block)
-        t0 = time.perf_counter()
-        mm_sample = mm.query(sample_rows, self.k)
-        mm_time = time.perf_counter() - t0
-        mm_per_user = mm_time / s
-
-        est_totals = {"mm": mm_per_user * m}
-        measured: dict[str, int] = {"mm": s}
+        # 3. Measure each candidate on the sample.  MM goes first: its
+        # per-user mean is the T-test's reference for point-query indexes.
+        per_user: dict[str, float] = {}
+        answers: dict[str, tuple[np.ndarray, TopK]] = {}
         ttest_stopped: dict[str, bool] = {}
-        sample_results: dict[str, TopK | None] = {"mm": mm_sample}
-        sample_covered: dict[str, np.ndarray] = {"mm": sample_rows}
-
-        # 4. Measure each index on the sample.
-        for name, idx in indexes.items():
-            if not idx.batching and self.use_ttest:
-                per_user, covered, partial = self._measure_point(idx, sample_rows, mm_per_user)
-                est_totals[name] = build_times[name] + per_user * m
-                measured[name] = len(covered)
-                ttest_stopped[name] = len(covered) < s
-                sample_results[name] = partial
-                sample_covered[name] = covered
-            else:
+        for name, strat in candidates.items():
+            if strat.batching:
                 t0 = time.perf_counter()
-                res = idx.query(sample_rows, self.k)
-                dt = time.perf_counter() - t0
-                est_totals[name] = build_times[name] + (dt / s) * m
-                measured[name] = s
-                ttest_stopped[name] = False
-                sample_results[name] = res
-                sample_covered[name] = sample_rows
+                res = strat.query(sample_rows, self.k)
+                per_user[name] = (time.perf_counter() - t0) / s
+                covered = sample_rows
+            else:
+                per_user[name], covered, res = self._measure_point(
+                    strat, sample_rows, per_user["mm"]
+                )
+            answers[name] = covered, res
+            ttest_stopped[name] = len(covered) < s
         optimize_seconds = time.perf_counter() - t_opt0
 
+        # 4. Extrapolate C_I + Q_I·n and pick the minimum.
+        est_totals = {name: build_times[name] + per_user[name] * m for name in candidates}
         chosen = min(est_totals, key=est_totals.get)  # type: ignore[arg-type]
         report = OptimizerReport(
             chosen=chosen,
             est_totals=est_totals,
             build_times=build_times,
             sample_size=s,
-            sample_users_measured=measured,
+            sample_users_measured={name: len(ans[0]) for name, ans in answers.items()},
             optimize_seconds=optimize_seconds,
             serve_seconds=0.0,
             ttest_stopped=ttest_stopped,
         )
-        strategies: dict[str, Strategy] = {"mm": mm, **indexes}
-        artifacts = {"covered": sample_covered, "results": sample_results}
-        return report, strategies, artifacts
+        covered, sampled = answers[chosen]
+        return report, candidates[chosen], covered, sampled
 
     def run(self) -> tuple[TopK, OptimizerReport]:
-        report, strategies, artifacts = self.estimate()
-        model = self.model
-        m = model.m
-        chosen = report.chosen
+        report, winner, covered, sampled = self.estimate()
+        m = self.model.m
 
-        # 5. Serve the rest with the winner; reuse sampled results.
-        winner: Strategy = strategies[chosen]
+        # 5. Serve the rest with the winner; reuse its sampled results.
         t0 = time.perf_counter()
-        covered = artifacts["covered"][chosen]
-        covered_res = artifacts["results"][chosen]
-        remaining = np.setdiff1d(np.arange(m), covered, assume_unique=False)
-        out_ids = np.empty((m, min(self.k, model.n)), dtype=np.int64)
-        out_scores = np.empty_like(out_ids, dtype=np.float64)
-        if covered_res is not None and len(covered):
-            out_ids[covered] = covered_res.ids
-            out_scores[covered] = covered_res.scores
+        out_ids = np.empty((m, sampled.ids.shape[1]), dtype=np.int64)
+        out_scores = np.empty(out_ids.shape)
+        out_ids[covered] = sampled.ids
+        out_scores[covered] = sampled.scores
+        remaining = np.setdiff1d(np.arange(m), covered)
         if len(remaining):
             rest = winner.query(remaining, self.k)
             out_ids[remaining] = rest.ids

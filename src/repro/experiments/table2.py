@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.core.recopt import Recopt
+from repro.core.recopt import MIN_SAMPLE, Recopt
 from repro.experiments.grid import K_VALUES, reference_grid, strategy_factories
 from repro.mf.models import MFModel
 
@@ -54,8 +54,7 @@ def optimizer_table(
     ks: tuple[int, ...] = K_VALUES,
     *,
     configs: dict[str, tuple[str, ...]] | None = None,
-    min_sample: int = 256,
-    sample_frac: float = 0.01,
+    min_sample: int = MIN_SAMPLE,
     seed: int = 0,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Run RECOPT per config over the grid; aggregate into Table 2.
@@ -86,7 +85,6 @@ def optimizer_table(
                     {n: factories[n] for n in index_names},
                     k=k,
                     min_sample=min_sample,
-                    sample_frac=sample_frac,
                     seed=seed,
                 ).run()
                 recopt_total = time.perf_counter() - t0

@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.blocked_mm import DEFAULT_USER_BLOCK, blocked_mm_topk
-from repro.mf.models import MFModel
+from repro.linalg.blocked_mm import blocked_mm_topk
 
 
 class BlockedMM(Strategy):
@@ -19,15 +18,6 @@ class BlockedMM(Strategy):
     name = "mm"
     batching = True
 
-    def __init__(self, model: MFModel, *, user_block: int = DEFAULT_USER_BLOCK):
-        super().__init__(model)
-        self.user_block = user_block
-
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
-        ids, scores = blocked_mm_topk(
-            self.model.users[user_rows],
-            self.model.items,
-            k,
-            user_block=self.user_block,
-        )
+        ids, scores = blocked_mm_topk(self.model.users[user_rows], self.model.items, k)
         return TopK(ids=ids, scores=scores)

@@ -4,7 +4,7 @@ The paper uses Intel MKL GEMM over user batches plus a C++ priority queue
 for top-K extraction.  Here the per-block GEMM is NumPy's BLAS ``@`` and
 the priority queue is ``argpartition`` (same O(n) extraction per user).
 Blocking over users bounds the dense score matrix to
-``user_block × n_items`` doubles, mirroring the paper's "batches that each
+``USER_BLOCK × n_items`` doubles, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.
 """
 from __future__ import annotations
@@ -13,16 +13,10 @@ import numpy as np
 
 from repro.linalg.kernels import topk_from_scores
 
-DEFAULT_USER_BLOCK = 1024
+USER_BLOCK = 1024
 
 
-def blocked_mm_topk(
-    users: np.ndarray,
-    items: np.ndarray,
-    k: int,
-    *,
-    user_block: int = DEFAULT_USER_BLOCK,
-) -> tuple[np.ndarray, np.ndarray]:
+def blocked_mm_topk(users: np.ndarray, items: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-``k`` item (ids, scores) per user via blocked GEMM.
 
     ``users`` is ``(m, f)``, ``items`` is ``(n, f)``; returns
@@ -34,8 +28,8 @@ def blocked_mm_topk(
     out_ids = np.empty((m, k), dtype=np.int64)
     out_scores = np.empty((m, k), dtype=np.float64)
     items_t = items.T
-    for start in range(0, m, user_block):
-        stop = min(start + user_block, m)
+    for start in range(0, m, USER_BLOCK):
+        stop = min(start + USER_BLOCK, m)
         scores = users[start:stop] @ items_t
         ids, sc = topk_from_scores(scores, k)
         out_ids[start:stop] = ids

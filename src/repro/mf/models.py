@@ -32,6 +32,16 @@ class MFModel:
     test_rmse: float = float("nan")
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Reject a model no strategy can answer exactly (NaN fails every bound test)."""
+        u, v = self.users, self.items
+        if u.ndim != 2 or v.ndim != 2:
+            raise ValueError(f"users and items must be 2-D, got {u.ndim}-D and {v.ndim}-D")
+        if u.shape[1] != v.shape[1]:
+            raise ValueError(f"users have rank {u.shape[1]} but items have rank {v.shape[1]}")
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("users and items must be finite (no NaN or inf)")
+
     @property
     def m(self) -> int:
         return self.users.shape[0]

@@ -3,8 +3,8 @@
 The optimizer's estimation phase (build indexes, time a user sample) runs
 on the driver — the sample is small by construction, and timing kernels
 inside executors would measure scheduler noise rather than strategy cost.
-The *serving* of all users is then dispatched to the distributed operator
-of the winning strategy (``repro.spark_ops.serving``).
+All users are then served by ``repro.spark_ops.serving.serve_topk`` with
+the built winner.
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.recopt import OptimizerReport, Recopt
+from repro.core.recopt import MIN_SAMPLE, OptimizerReport, Recopt
 from repro.indexes.base import Strategy
 from repro.mf.models import MFModel
-from repro.spark_ops.serving import index_topk, mm_topk
+from repro.spark_ops.serving import serve_topk
 
 
 def recopt_serve(
@@ -25,8 +25,7 @@ def recopt_serve(
     index_factories: dict[str, Callable[[MFModel], Strategy]],
     *,
     k: int,
-    sample_frac: float = 0.01,
-    min_sample: int = 128,
+    min_sample: int = MIN_SAMPLE,
     seed: int = 0,
 ) -> tuple[DataFrame, OptimizerReport]:
     """Choose a strategy via sampled timing, then serve ``users_df`` with it.
@@ -36,17 +35,7 @@ def recopt_serve(
     re-serving the sampled users distributes along with everyone else and
     keeps the output a single clean DataFrame lineage.
     """
-    opt = Recopt(
-        model,
-        index_factories,
-        k=k,
-        sample_frac=sample_frac,
-        min_sample=min_sample,
-        seed=seed,
-    )
-    report, strategies, _ = opt.estimate()
-    if report.chosen == "mm":
-        out = mm_topk(spark, users_df, model.items, k)
-    else:
-        out = index_topk(spark, users_df, strategies[report.chosen], k)
-    return out, report
+    report, winner, _, _ = Recopt(
+        model, index_factories, k=k, min_sample=min_sample, seed=seed
+    ).estimate()
+    return serve_topk(spark, users_df, winner, k), report

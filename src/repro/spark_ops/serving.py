@@ -1,9 +1,10 @@
-"""Every MIPS strategy as a per-partition vectorized Spark operator.
+"""Every MIPS strategy as one per-partition vectorized Spark operator.
 
-Per the reproduction plan (DESIGN.md §4), each strategy is expressed as a
-DataFrame → DataFrame transform over the users frame via ``mapInPandas``:
+Per the reproduction plan (DESIGN.md §4), ``serve_topk`` expresses a
+built ``Strategy`` as a DataFrame → DataFrame transform over the users
+frame via ``mapInPandas``.  The partition body depends on its type:
 
-* **mm** — pure data-parallel: each partition multiplies its users'
+* **blocked MM** — pure data-parallel: each partition multiplies its users'
   feature block against the broadcast item matrix (blocked GEMM) and
   extracts top-K.  Only the broadcast *items* are shared state.
 * **index strategies** (lemp / fexipro / recdex) — the index is built
@@ -19,7 +20,7 @@ at 1 in canonical (score desc, item_id asc) order — exact top-K per user.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
@@ -27,8 +28,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from repro.indexes.base import Strategy
+from repro.indexes.brute_force import BlockedMM
 from repro.linalg.blocked_mm import blocked_mm_topk
-from repro.mf.models import MFModel
 
 TOPK_SCHEMA = T.StructType(
     [
@@ -53,33 +54,30 @@ def _emit(user_ids: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> pd.DataF
     )
 
 
-def mm_topk(
-    spark: SparkSession, users_df: DataFrame, items: np.ndarray, k: int, *, user_block: int = 1024
-) -> DataFrame:
-    """Blocked-MM top-K as a data-parallel operator over the users frame."""
-    items_bc = spark.sparkContext.broadcast(items)
+def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: int) -> DataFrame:
+    """Exact top-``k`` for every row of ``users_df`` with ``strategy``.
 
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        it = items_bc.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            u = np.stack(pdf["features"].to_numpy())
-            ids, scores = blocked_mm_topk(u, it, k, user_block=user_block)
-            yield _emit(pdf["id"].to_numpy(), ids, scores)
+    Blocked MM answers from each row's ``features`` against the broadcast
+    item matrix; any other strategy is built here if it is not yet,
+    broadcast built, and queried by ``id``, which must lie in
+    ``[0, model.m)``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if isinstance(strategy, BlockedMM):
+        items_bc = spark.sparkContext.broadcast(strategy.model.items)
 
-    return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)
+        def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+            items = items_bc.value
+            for pdf in batches:
+                if len(pdf) == 0:
+                    continue
+                ids, scores = blocked_mm_topk(np.stack(pdf["features"].to_numpy()), items, k)
+                yield _emit(pdf["id"].to_numpy(), ids, scores)
 
+        return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)
 
-def index_topk(
-    spark: SparkSession,
-    users_df: DataFrame,
-    strategy: Strategy,
-    k: int,
-) -> DataFrame:
-    """Broadcast a driver-built index; partitions query it by user id."""
-    if not strategy.built:
-        strategy.build()
+    strategy.build()  # idempotent: a no-op once built
     strat_bc = spark.sparkContext.broadcast(strategy)
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -88,29 +86,9 @@ def index_topk(
             if len(pdf) == 0:
                 continue
             rows = pdf["id"].to_numpy()
+            if rows.min() < 0 or rows.max() >= strat.model.m:
+                raise ValueError(f"user ids must lie in [0, {strat.model.m})")
             res = strat.query(rows, k)
             yield _emit(rows, res.ids, res.scores)
 
     return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)
-
-
-def serve_topk(
-    spark: SparkSession,
-    users_df: DataFrame,
-    model: MFModel,
-    k: int,
-    *,
-    strategy: str = "mm",
-    factory: Callable[[MFModel], Strategy] | None = None,
-) -> DataFrame:
-    """Serve exact top-K with a named strategy ("mm") or an index factory.
-
-    ``strategy="mm"`` runs the data-parallel blocked-MM operator; any other
-    name requires ``factory`` to construct the index, which is built on the
-    driver and broadcast.
-    """
-    if strategy == "mm":
-        return mm_topk(spark, users_df, model.items, k)
-    if factory is None:
-        raise ValueError(f"strategy {strategy!r} requires an index factory")
-    return index_topk(spark, users_df, factory(model), k)

@@ -1,12 +1,21 @@
-"""The benchmark's tracer must still find every name it patches.
+"""The benchmark must still find every name it calls or patches.
 
 ``mipsbench/tracing.py`` looks each target up as ``owner.__dict__[name]``,
 so a function that moves out of the module (or a method that moves to a
 base class) breaks the traced benchmark run.  This installs the tracer,
 checks that every target was wrapped, and that ``uninstall`` puts the
-originals back.
+originals back.  A second test makes the calls ``mipsbench/run.py``
+makes outside Spark, so an API drift fails here rather than only in the
+benchmark's own self-check.
 """
+import numpy as np
+
 from mipsbench.tracing import _PATCHES, Tracer
+from repro.core.recopt import Recopt
+from repro.experiments.grid import strategy_factories
+from repro.indexes.base import TopK
+from repro.mf.models import tiny_model
+from repro.validate import assert_valid_topk
 
 
 def test_install_wraps_and_uninstall_restores_every_target():
@@ -20,3 +29,17 @@ def test_install_wraps_and_uninstall_restores_every_target():
         tracer.uninstall()
     for owner, attr, orig in originals:
         assert owner.__dict__[attr] is orig, f"{owner.__name__}.{attr} not restored"
+
+
+def test_benchmark_call_surface():
+    model = tiny_model(m=60, n=30, f=5, seed=0)
+    fac = strategy_factories(model)
+    assert {"mm", "lemp", "recdex", "fexipro-si"} <= set(fac)
+    topk, report = Recopt(model, {c: fac[c] for c in ("lemp", "recdex", "fexipro-si")}, k=3, seed=0).run()
+    assert isinstance(topk, TopK)
+    assert_valid_topk(model, topk, 3)
+    for field in ("chosen", "est_totals", "optimize_seconds", "serve_seconds", "ttest_stopped", "sample_size"):
+        assert hasattr(report, field), field
+    strat = fac[report.chosen](model)
+    strat.build()
+    assert_valid_topk(model, strat.query(np.arange(model.m), 3), 3)

@@ -2,17 +2,19 @@
 import numpy as np
 import pytest
 
+from repro.linalg import blocked_mm as mm_module
 from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.linalg.kernels import topk_from_scores
 
 
 @pytest.mark.parametrize("user_block", [1, 3, 7, 100])
-def test_blocking_invariance(user_block):
+def test_blocking_invariance(user_block, monkeypatch):
     """Result must not depend on the user block size."""
     g = np.random.default_rng(0)
     users, items = g.normal(size=(23, 5)), g.normal(size=(17, 5))
-    ref_ids, ref_sc = blocked_mm_topk(users, items, 4, user_block=1000)
-    ids, sc = blocked_mm_topk(users, items, 4, user_block=user_block)
+    ref_ids, ref_sc = blocked_mm_topk(users, items, 4)
+    monkeypatch.setattr(mm_module, "USER_BLOCK", user_block)
+    ids, sc = blocked_mm_topk(users, items, 4)
     np.testing.assert_array_equal(ids, ref_ids)
     np.testing.assert_allclose(sc, ref_sc)
 

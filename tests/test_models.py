@@ -11,6 +11,25 @@ def test_model_properties():
     assert (m.m, m.n, m.f) == (7, 5, 3)
 
 
+_OK = np.ones((4, 3))
+
+
+@pytest.mark.parametrize(
+    "users, items",
+    [
+        (np.ones(3), _OK),  # 1-D users
+        (_OK, np.ones((2, 3, 1))),  # 3-D items
+        (_OK, np.ones((5, 2))),  # rank mismatch
+        (np.where(np.eye(4, 3) > 0, np.nan, 1.0), _OK),  # NaN user
+        (_OK, np.full((5, 3), np.inf)),  # inf items
+    ],
+    ids=["1d-users", "3d-items", "rank-mismatch", "nan-users", "inf-items"],
+)
+def test_invalid_model_rejected(users, items):
+    with pytest.raises(ValueError):
+        MFModel(name="bad", users=users, items=items)
+
+
 def test_concentration_model_shapes():
     m = concentration_model(n_users=30, n_items=20, f=6, kappa=1.0, seed=0)
     assert m.users.shape == (30, 6)

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import MFModel
 from repro.oracle import assert_equivalent
 from repro.spark_ops.frames import model_to_user_df
@@ -40,7 +41,7 @@ def test_topk_oracle_sql_catches_corrupted_topk(spark):
         items=g.integers(-3, 4, size=(8, 3)).astype(float),
     )
     users_df = model_to_user_df(spark, model)
-    good = serve_topk(spark, users_df, model, 2)
+    good = serve_topk(spark, users_df, BlockedMM(model), 2)
     corrupted = good.withColumn(
         "item_id", (good.item_id + 1) % 8  # shift every returned item
     )

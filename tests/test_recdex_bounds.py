@@ -73,7 +73,7 @@ def test_cbound_vectorized_matches_scalar():
 @pytest.fixture(scope="module")
 def built_index():
     model = tiny_model(m=80, n=50, f=6, seed=42)
-    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4, seed=0)
+    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4)
     idx.build()
     return model, idx
 
@@ -117,7 +117,7 @@ def test_bounds_dominate_member_normalized_scores(built_index):
 
 def test_items_visited_counter(built_index):
     model, _ = built_index
-    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4, seed=0)
+    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4)
     idx.build()
     assert idx.items_visited == 0
     idx.query_all(3)

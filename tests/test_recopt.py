@@ -95,7 +95,6 @@ def test_point_index_uses_ttest(model):
         k=3,
         min_sample=64,
         seed=4,
-        use_ttest=True,
     ).run()
     assert "fexipro-si" in report.ttest_stopped
     assert report.sample_users_measured["fexipro-si"] <= report.sample_size
@@ -175,3 +174,9 @@ def test_k_exceeding_n(model):
     ).run()
     assert res.ids.shape == (model.m, model.n)
     assert_valid_topk(model, res, 1000)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(model, k):
+    with pytest.raises(ValueError):
+        Recopt(model, {"lemp": _factories()["lemp"]}, k=k)

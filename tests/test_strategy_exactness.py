@@ -21,7 +21,7 @@ from repro.mf.models import MFModel, concentration_model, tiny_model
 from repro.validate import assert_valid_topk
 
 STRATEGIES = {
-    "mm": lambda m: BlockedMM(m, user_block=8),
+    "mm": BlockedMM,
     "lemp": lambda m: LempIndex(m, bucket_size=16),
     "fexipro-si": lambda m: FexiproIndex(m, variant="SI"),
     "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
