@@ -142,10 +142,10 @@ class RecdexIndex(Strategy):
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
-        user_rows = np.asarray(user_rows)
+        users = self._users(user_rows)
         k = min(k, self.model.n)
-        out_ids = np.empty((len(user_rows), k), dtype=np.int64)
-        out_scores = np.empty((len(user_rows), k))
+        out_ids = np.empty((len(users), k), dtype=np.int64)
+        out_scores = np.empty((len(users), k))
         labels = self.labels[user_rows]
         first = self.block if self.shared else self.walk_chunk
         for j, cl in enumerate(self.clusters):
@@ -155,7 +155,7 @@ class RecdexIndex(Strategy):
                 if not group.size:
                     continue
                 out_ids[group], out_scores[group], scored = bounded_walk(
-                    self.model.users[user_rows[group]],
+                    users[group],
                     self.model.items,
                     cl.item_order,
                     cl.bounds,

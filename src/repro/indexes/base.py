@@ -56,5 +56,16 @@ class Strategy(ABC):
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         """Exact top-``k`` for ``model.users[user_rows]``."""
 
+    def _users(self, user_rows: np.ndarray) -> np.ndarray:
+        """``model.users[user_rows]``; raises ``ValueError`` for a row outside ``[0, m)``.
+
+        Plain indexing would wrap a negative row to another user's vector.
+        """
+        user_rows = np.asarray(user_rows)
+        m = self.model.m
+        if user_rows.size and (user_rows.min() < 0 or user_rows.max() >= m):
+            raise ValueError(f"user ids must lie in [0, {m})")
+        return self.model.users[user_rows]
+
     def query_all(self, k: int) -> TopK:
         return self.query(np.arange(self.model.m), k)

@@ -19,5 +19,5 @@ class BlockedMM(Strategy):
     batching = True
 
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
-        ids, scores = blocked_mm_topk(self.model.users[user_rows], self.model.items, k)
+        ids, scores = blocked_mm_topk(self._users(user_rows), self.model.items, k)
         return TopK(ids=ids, scores=scores)

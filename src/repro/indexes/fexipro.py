@@ -149,11 +149,11 @@ class FexiproIndex(Strategy):
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
+        users = self._users(user_rows)
         k = min(k, self.model.n)
-        m = len(user_rows)
-        out_ids = np.empty((m, k), dtype=np.int64)
-        out_scores = np.empty((m, k))
-        for i, r in enumerate(user_rows):
-            ids, sc = self._query_one(self.model.users[r], k)
+        out_ids = np.empty((len(users), k), dtype=np.int64)
+        out_scores = np.empty((len(users), k))
+        for i, u in enumerate(users):
+            ids, sc = self._query_one(u, k)
             out_ids[i], out_scores[i] = ids, sc
         return TopK(ids=out_ids, scores=out_scores)

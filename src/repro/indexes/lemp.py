@@ -55,7 +55,7 @@ class LempIndex(Strategy):
         if not self.built:
             self.build()
         ids, scores, _ = bounded_walk(
-            self.model.users[user_rows],
+            self._users(user_rows),
             self.model.items,
             self.order,
             self.bounds,

@@ -2,7 +2,12 @@
 
 The paper uses Intel MKL GEMM over user batches plus a C++ priority queue
 for top-K extraction.  Here the per-block GEMM is NumPy's BLAS ``@`` and
-the priority queue is ``argpartition`` (same O(n) extraction per user).
+extraction is ``topk_from_scores``'s threshold filter: a few vectorized
+O(n) passes per user (group maxima, a compare, one ``nonzero``) leave about
+K survivors per row, and only those are sorted.  On 1024-user blocks of
+1 200 and 8 000 items (one OpenBLAS thread, 4-vCPU x86 host), selection
+took 0.7–1.4× the GEMM's time at K ≤ 10 and 2–5× at K = 50
+(``benchmarks/bench_topk_select.py``).
 Blocking over users bounds the dense score matrix to
 ``USER_BLOCK × n_items`` doubles, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.

@@ -3,10 +3,15 @@
 All strategies must agree bit-for-bit on the returned top-K *ids* so the
 exactness tests can compare them directly.  The canonical ordering is
 (score descending, item id ascending); ``canonical_topk`` enforces it.
+``topk_with_ids`` is the one exact top-K selection: blocked MM's blocks,
+the bounded walk's head and every ``merge_topk`` go through it.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# Column groups whose maxima set ``topk_with_ids``'s survivor threshold.
+_THRESHOLD_GROUPS = 64
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -53,29 +58,40 @@ def topk_with_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarr
     """Exact canonical top-``k`` of ``scores`` labeled by ``ids``.
 
     ``scores`` is ``(m, n)``; ``ids`` is ``(n,)`` or ``(m, n)`` and gives
-    the real item id of each column.  Fast path: ``argpartition`` (the
-    NumPy analog of the paper's priority queue).  ``argpartition`` picks
-    *arbitrary* members of a tied boundary group, which would violate the
-    canonical (score desc, id asc) rule, so rows whose kth score ties
-    across the selection boundary are re-done with a full tie-aware sort
-    over real ids.  ``k`` is clamped to the column count.
+    the real item id of each column.  ``k`` is clamped to the column count.
+
+    A threshold filter stands in for the paper's priority queue.  Each
+    row's columns fall into ``g = min(n, max(k, 64))`` strided groups
+    (column ``j`` into group ``j mod g``, leaving out the last ``n mod g``);
+    the group maxima are ``g`` distinct entries of the row, so the kth
+    largest of them is at most the row's kth largest score.  Every entry
+    at or above that threshold survives (ties of the kth score included),
+    and the canonical (score desc, id asc) sort runs over the survivors
+    only, packed into a ``(m, most survivors)`` array padded with
+    ``-inf``.  Exact by construction.
     """
     m, n = scores.shape
-    ids2d = np.broadcast_to(ids, scores.shape) if ids.ndim == 1 else ids
     k = min(k, n)
-    if k == n:
-        return canonical_topk(ids2d.copy(), scores.copy())
-    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    rows = np.arange(m)[:, None]
-    out_ids, out_sc = canonical_topk(ids2d[rows, part], scores[rows, part])
-    kth = out_sc[:, -1]
-    # A row is tie-ambiguous iff more than k entries are >= its kth score.
-    ambiguous = np.nonzero((scores >= kth[:, None]).sum(axis=1) > k)[0]
-    for r in ambiguous:
-        order = np.lexsort((ids2d[r], -scores[r]))[:k]
-        out_ids[r] = ids2d[r, order]
-        out_sc[r] = scores[r, order]
-    return out_ids, out_sc
+    if k == 0:  # no columns
+        return np.empty((m, 0), dtype=ids.dtype), np.empty((m, 0), dtype=scores.dtype)
+    g = min(n, max(k, _THRESHOLD_GROUPS))
+    full = n - n % g  # the last n mod g columns join no group
+    group_max = scores[:, :full].reshape(m, full // g, g).max(axis=1)
+    threshold = np.partition(group_max, g - k, axis=1)[:, g - k]
+    rows, cols = np.divmod(np.flatnonzero(scores >= threshold[:, None]), n)
+    counts = np.bincount(rows, minlength=m)
+    # Each survivor's slot within its row: survivors come in row-major order.
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ids2d = np.broadcast_to(ids, scores.shape)
+    # A row with padding kept fewer than n entries, so its threshold, and
+    # each of its top k, is above -inf: the padding sorts last, whatever its id.
+    width = counts.max(initial=k)
+    cand_ids = np.zeros((m, width), dtype=ids2d.dtype)
+    cand_scores = np.full((m, width), -np.inf, dtype=scores.dtype)
+    cand_ids[rows, slots] = ids2d[rows, cols]
+    cand_scores[rows, slots] = scores[rows, cols]
+    out_ids, out_scores = canonical_topk(cand_ids, cand_scores)
+    return out_ids[:, :k], out_scores[:, :k]
 
 
 def topk_from_scores(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

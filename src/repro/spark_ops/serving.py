@@ -86,9 +86,7 @@ def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: 
             if len(pdf) == 0:
                 continue
             rows = pdf["id"].to_numpy()
-            if rows.min() < 0 or rows.max() >= strat.model.m:
-                raise ValueError(f"user ids must lie in [0, {strat.model.m})")
-            res = strat.query(rows, k)
+            res = strat.query(rows, k)  # raises for ids outside [0, m)
             yield _emit(rows, res.ids, res.scores)
 
     return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)

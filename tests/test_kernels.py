@@ -1,6 +1,9 @@
 """Unit tests for repro.linalg.kernels."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.linalg.kernels import (
     angles_to,
@@ -8,6 +11,7 @@ from repro.linalg.kernels import (
     merge_topk,
     row_norms,
     topk_from_scores,
+    topk_with_ids,
 )
 
 
@@ -91,8 +95,77 @@ def test_topk_from_scores_matches_argsort(k):
     ids, sc = topk_from_scores(scores, k)
     for r in range(20):
         want = np.argsort(-scores[r], kind="stable")[:k]
-        np.testing.assert_array_equal(np.sort(ids[r]), np.sort(want))
+        np.testing.assert_array_equal(ids[r], want)
         np.testing.assert_allclose(sc[r], scores[r][ids[r]])
+
+
+def _reference_topk(ids2d, scores, k):
+    """Full per-row canonical sort, then the first ``k``."""
+    out = [np.lexsort((ids2d[r], -scores[r]))[:k] for r in range(len(scores))]
+    rows = np.arange(len(scores))[:, None]
+    return ids2d[rows, out], scores[rows, out]
+
+
+@st.composite
+def _selection_cases(draw):
+    """(ids, scores, k): heavy ties, -inf entries, all-equal rows, n around 64, k ∈ {1, n−1, n, n+5}."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 100, 128, 130, 200]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["int", "neginf", "equal", "gauss"]))
+    if kind in ("int", "neginf"):
+        scores = g.integers(-2, 3, size=(m, n)).astype(np.float64)
+        if kind == "neginf":
+            scores[scores < 0] = -np.inf
+    elif kind == "equal":
+        scores = np.repeat(g.integers(-2, 3, size=(m, 1)), n, axis=1).astype(np.float64)
+    else:
+        scores = g.normal(size=(m, n))
+    layout = draw(st.sampled_from(["arange", "permuted", "2d"]))
+    if layout == "arange":
+        ids = np.arange(n)
+    elif layout == "permuted":
+        ids = g.permutation(n) * 3 + 7
+    else:
+        ids = np.argsort(g.random((m, n)), axis=1)
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
+    return ids, scores, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_selection_cases())
+def test_topk_with_ids_matches_full_sort(case):
+    ids, scores, k = case
+    got_ids, got_sc = topk_with_ids(ids, scores, k)
+    want_ids, want_sc = _reference_topk(np.broadcast_to(ids, scores.shape), scores, k)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_sc, want_sc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_selection_cases(), cut=st.floats(0.0, 1.0))
+def test_merge_topk_matches_full_sort(case, cut):
+    ids, scores, k = case
+    ids2d = np.broadcast_to(ids, scores.shape)
+    c = int(cut * scores.shape[1])
+    got_ids, got_sc = merge_topk(ids2d[:, :c], scores[:, :c], ids2d[:, c:], scores[:, c:], k)
+    want_ids, want_sc = _reference_topk(ids2d, scores, k)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_sc, want_sc)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_topk_from_scores_allocates_under_half_the_block(k):
+    """Selection on a blocked-MM block must not copy the score matrix."""
+    scores = np.random.default_rng(0).normal(size=(1024, 2000))
+    tracemalloc.start()
+    try:
+        topk_from_scores(scores, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < scores.nbytes / 2
 
 
 def test_topk_from_scores_k_exceeds_n():

@@ -107,6 +107,16 @@ def test_query_subset_matches_full(name):
         np.testing.assert_allclose(sub.scores, full.scores[rows])
 
 
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("where", ["negative", "past-end"])
+def test_rows_outside_model_rejected(name, where):
+    """A negative row must not wrap to another user; a row past the end must not reach a kernel."""
+    model = tiny_model(m=10, n=12, f=4, seed=14)
+    bad = -1 if where == "negative" else model.m
+    with pytest.raises(ValueError, match="user ids must lie in"):
+        STRATEGIES[name](model).query(np.array([0, bad]), 3)
+
+
 # --- strict bitwise equality on integer models ----------------------------
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
