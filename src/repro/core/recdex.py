@@ -90,6 +90,8 @@ class RecdexIndex(Strategy):
         self.walk_chunk = max(1, walk_chunk)
         self.clusters: list[_ClusterList] = []
         self.labels: np.ndarray | None = None
+        #: the largest item norm, which scales the walk's rounding slack
+        self.max_norm = 0.0
         #: wall-clock per construction stage, for the Fig. 8 breakdown
         self.timings: dict[str, float] = {}
         #: total items visited across all served users (w̄ numerator)
@@ -131,6 +133,7 @@ class RecdexIndex(Strategy):
             )
         self.labels = labels
         self.clusters = clusters
+        self.max_norm = float(item_norms.max(initial=0.0))
         self.timings = {
             "cluster": t1 - t0,
             "bound": theta_time,
@@ -162,6 +165,7 @@ class RecdexIndex(Strategy):
                     k,
                     first=first,
                     chunk=self.walk_chunk,
+                    max_norm=self.max_norm,
                 )
                 self.items_visited += scored
         return TopK(ids=out_ids, scores=out_scores)

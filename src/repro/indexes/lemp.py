@@ -62,5 +62,6 @@ class LempIndex(Strategy):
             k,
             first=self.bucket_size,
             chunk=self.bucket_size,
+            max_norm=self.bounds.max(initial=0.0),
         )
         return TopK(ids=ids, scores=scores)

@@ -9,6 +9,19 @@ that point scores lower, so none of them can enter the top-K.  The stop
 test is strict, so items that tie the kth score are still visited and the
 canonical (score desc, id asc) tie-break holds.
 
+Bounds and kth scores are rounded values, so a bound that is exact in real
+arithmetic can read below the score it bounds: LEMP's ``‖i‖`` against a
+computed ``u·i / ‖u‖`` by a few ulps, RECDEX's cone bound, built from
+``arccos``, by up to about ``sqrt(eps)·‖i‖``.  A user stops only once the
+next bound is ``_ROUNDING_SLACK`` times the largest item norm below its
+kth score; a wider slack only scores a few more items.
+
+After each chunk's GEMM only the rows with some entry ``>=`` their current
+kth score are merged, and a chunk with no such row is not merged at all:
+this is the paper's K-heap rule (push an item only if it beats the heap's
+minimum).  An entry below the kth score can never enter the top-K, so the
+answer is unchanged; ``>=`` keeps the ties the id tie-break may still need.
+
 Users are walked in blocks of ``USER_BLOCK``, so the walk's working
 arrays have a fixed size however many users it serves.  Unblocked, a
 LEMP-L serve of all 24 000 users of the reference grid's r2-f32-lo
@@ -23,6 +36,7 @@ import numpy as np
 from repro.linalg.kernels import merge_topk, row_norms, topk_with_ids
 
 USER_BLOCK = 4096
+_ROUNDING_SLACK = 1e-6
 
 
 def bounded_walk(
@@ -34,16 +48,19 @@ def bounded_walk(
     *,
     first: int,
     chunk: int,
+    max_norm: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact canonical top-``k`` of ``users @ items.T`` by a bounded walk.
 
     ``order`` lists the item ids to walk and ``bounds[j]`` (non-increasing)
     upper-bounds ``u·items[order[j']] / ‖u‖`` for every ``j' ≥ j`` and
-    every user ``u``.  The first ``max(first, k)`` items are scored against
-    every user of a block in one GEMM; each later ``chunk`` only against
-    the block's users still walking.  Zero-norm users score 0 everywhere and are never
-    dropped: their canonical top-K is the ``k`` smallest ids, which only
-    the whole list reveals.
+    every user ``u``, up to rounding; ``max_norm`` is at least every
+    walked item's norm and scales the rounding slack.  The first
+    ``max(first, k)`` items are scored against every user of a block in
+    one GEMM; each later ``chunk`` only against the block's users still
+    walking.  Zero-norm users score 0 everywhere and are never dropped:
+    their canonical top-K is the ``k`` smallest ids, which only the whole
+    list reveals.
 
     Returns ``(ids, scores, scored)``: ``(m, min(k, n))`` arrays in
     canonical order, and the number of user·item pairs scored.
@@ -55,11 +72,12 @@ def bounded_walk(
     head_items = items[order[:head]]
     top_ids = np.empty((m, k), dtype=np.int64)
     top_scores = np.empty((m, k))
+    slack = _ROUNDING_SLACK * max_norm
     scored = 0
     for start in range(0, m, USER_BLOCK):
         rows = slice(start, start + USER_BLOCK)
         top_ids[rows], top_scores[rows], block_scored = _walk_block(
-            users[rows], items, order, bounds, k, head_items, chunk
+            users[rows], items, order, bounds, k, head_items, chunk, slack
         )
         scored += block_scored
     return top_ids, top_scores, scored
@@ -73,6 +91,7 @@ def _walk_block(
     k: int,
     head_items: np.ndarray,
     chunk: int,
+    slack: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``bounded_walk`` for one block of users; ``head_items`` are scored by all."""
     n = len(order)
@@ -87,15 +106,20 @@ def _walk_block(
             kth = np.where(
                 norms[active] > 0, top_scores[active, -1] / norms[active], -np.inf
             )
-        active = active[bounds[pos] >= kth]
+        active = active[bounds[pos] + slack >= kth]
         if not active.size:
             break
         stop = min(pos + chunk, n)
         ids = order[pos:stop]
         scores = users[active] @ items[ids].T
-        top_ids[active], top_scores[active] = merge_topk(
-            top_ids[active], top_scores[active], np.broadcast_to(ids, scores.shape), scores, k
-        )
         scored += active.size * (stop - pos)
         pos = stop
+        # Only a row with an entry at or above its kth score can change.
+        hit = (scores >= top_scores[active, -1:]).any(axis=1)
+        if not hit.any():
+            continue
+        rows, scores = active[hit], scores[hit]
+        top_ids[rows], top_scores[rows] = merge_topk(
+            top_ids[rows], top_scores[rows], np.broadcast_to(ids, scores.shape), scores, k
+        )
     return top_ids, top_scores, scored

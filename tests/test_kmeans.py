@@ -3,6 +3,50 @@ import numpy as np
 import pytest
 
 from repro.core.kmeans import kmeans
+from repro.core.recdex import _KMEANS_ITERS, DEFAULT_CLUSTERS
+from repro.experiments.grid import reference_grid
+
+
+def _loop_kmeans(x, k, *, n_iters=25, seed=0, tol=1e-7):
+    """Reference: argmin assignment over (n, k) and a mean per cluster, one cluster at a time."""
+    n = len(x)
+    k = min(k, n)
+    g = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[g.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j:] = x[g.integers(n, size=k - j)]
+            break
+        centers[j] = x[g.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    x_sq = np.sum(x**2, axis=1)
+    for _ in range(n_iters):
+        d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + np.sum(centers**2, axis=1)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        shift = 0.0
+        for j in range(k):
+            members = x[labels == j]
+            if len(members) == 0:
+                new_centers[j] = x[int(np.argmax(np.min(d2, axis=1)))]
+            else:
+                new_centers[j] = members.mean(axis=0)
+            shift = max(shift, float(np.sum((new_centers[j] - centers[j]) ** 2)))
+        centers = new_centers
+        if shift < tol:
+            break
+    d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + np.sum(centers**2, axis=1)
+    return np.argmin(d2, axis=1), centers
+
+
+def _assert_same_as_loop(x, k, **kw):
+    labels, centers = kmeans(x, k, **kw)
+    ref_labels, ref_centers = _loop_kmeans(x, k, **kw)
+    np.testing.assert_array_equal(labels, ref_labels)
+    np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
 
 
 def test_labels_and_centers_shapes():
@@ -77,3 +121,40 @@ def test_inertia_not_worse_than_random_centers(k):
     d2 = ((x[:, None, :] - rand_centers[None, :, :]) ** 2).sum(-1)
     rand_inertia = d2.min(axis=1).sum()
     assert inertia <= rand_inertia + 1e-9
+
+
+# --- the vectorized passes cluster exactly as the per-cluster loop --------
+
+@pytest.mark.parametrize("k", [1, 2, 8, 33])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_same_clusters_as_loop_on_random_data(k, seed):
+    g = np.random.default_rng(100 + seed)
+    x = g.normal(size=(500, 7)) * g.uniform(0.1, 3.0, size=7)
+    _assert_same_as_loop(x, k, n_iters=_KMEANS_ITERS, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_same_clusters_as_loop_until_converged(seed):
+    g = np.random.default_rng(seed)
+    x = np.vstack([g.normal(size=(60, 3)) + c for c in ([6, 0, 0], [0, 6, 0], [0, 0, 6])])
+    _assert_same_as_loop(x, 3, n_iters=200, seed=seed)
+
+
+@pytest.mark.parametrize("model", reference_grid(scale=1), ids=lambda m: m.name)
+def test_same_clusters_as_loop_on_grid(model):
+    _assert_same_as_loop(model.users, DEFAULT_CLUSTERS, n_iters=_KMEANS_ITERS, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_same_clusters_as_loop_with_more_clusters_than_distinct_points(seed):
+    """Duplicate centers leave clusters empty: both re-seed them at the farthest point."""
+    g = np.random.default_rng(seed)
+    x = g.integers(-3, 4, size=(4, 3)).astype(np.float64)[g.integers(4, size=40)]
+    _assert_same_as_loop(x, 7, n_iters=_KMEANS_ITERS, seed=seed)
+    labels, _ = kmeans(x, 7, n_iters=_KMEANS_ITERS, seed=seed)
+    assert len(np.unique(labels)) <= 4  # some of the 7 clusters stayed empty
+
+
+def test_same_clusters_as_loop_on_identical_points():
+    x = np.full((25, 4), 2.0)
+    _assert_same_as_loop(x, 5, n_iters=_KMEANS_ITERS, seed=0)

@@ -11,8 +11,10 @@ Two layers of checking (see ``repro.validate``):
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.recdex import RecdexIndex
+from repro.core.recopt import Recopt
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
@@ -152,6 +154,24 @@ def test_strict_zero_norm_user_ties(name):
     _strict_same(model, STRATEGIES[name], 3)
 
 
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_strict_when_a_bound_rounds_below_a_tied_score(name):
+    """One user vector, so θ_b = 0: item 12's cone bound reads 4e-16 below its score.
+
+    That score, -4, ties the kth (item 14's), and item 12 is walked last; a
+    stop test without rounding slack drops it and returns 14 in its place.
+    """
+    users = np.tile([0.0, 1.0, -2.0, 0.0, 2.0], (11, 1))
+    items = np.array(
+        [[1, 1, -2, 1, 2], [-1, 0, -2, -2, 0], [1, 1, -2, 1, 2], [-2, 0, 2, 1, 1],
+         [-2, -1, -1, 2, 0], [0, -2, 0, 2, 1], [2, 1, 2, 0, 0], [-2, 1, -1, -1, -1],
+         [-2, 0, -1, 1, 1], [-1, 0, 0, 0, 0], [0, 0, 0, -1, 1], [-2, 0, 2, 1, 1],
+         [-2, -2, 2, -2, 1], [-1, 0, -2, -2, 0], [2, 2, 2, 0, -1]],
+        dtype=np.float64,
+    )
+    _strict_same(MFModel(name="rounding", users=users, items=items), STRATEGIES[name], 14)
+
+
 @pytest.mark.parametrize("name", ["lemp", "recdex", "recdex-lesion"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_strict_across_walk_user_blocks(name, k, monkeypatch):
@@ -160,3 +180,58 @@ def test_strict_across_walk_user_blocks(name, k, monkeypatch):
     model = int_model(m=20, n=30, f=4, seed=13)
     model.users[7] = 0.0
     _strict_same(model, STRATEGIES[name], k)
+
+
+# --- differential fuzz: every strategy, and RECOPT, bit-equal to MM --------
+
+@st.composite
+def _differential_cases(draw):
+    """(model, rows, k) on integer models built to tie.
+
+    Entries in ``[-hi, hi]`` (``hi = 1`` ties the most), copies of item
+    rows, users that are all one vector (one cluster, θ_b = 0) or all on
+    one ray (θ_b = 0 in every cluster), zero and repeated user rows, n < f,
+    K ∈ {1, n−1, n, n+5}, and query rows drawn as an unordered multiset.
+    """
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 60))
+    f = draw(st.integers(1, 6))
+    hi = draw(st.sampled_from([1, 2, 4]))
+    users = g.integers(-hi, hi + 1, size=(m, f)).astype(np.float64)
+    items = g.integers(-hi, hi + 1, size=(n, f)).astype(np.float64)
+    copies = draw(st.integers(0, n))
+    items[g.integers(n, size=copies)] = items[g.integers(n, size=copies)]
+    layout = draw(st.sampled_from(["random", "identical", "one-ray"]))
+    if layout == "identical":
+        users[:] = users[0]
+    elif layout == "one-ray":
+        users = g.integers(1, 4, size=(m, 1)) * users[:1]
+    users[g.integers(m, size=draw(st.integers(0, m)))] = 0.0
+    users[g.integers(m, size=draw(st.integers(0, m)))] = users[g.integers(m)]
+    model = MFModel(name="fuzz", users=users, items=items)
+    rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)))
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
+    return model, rows, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_differential_cases())
+def test_every_strategy_bit_equal_to_mm(case):
+    model, rows, k = case
+    ref = BlockedMM(model).query(rows, k)
+    for name, make in STRATEGIES.items():
+        got = make(model).query(rows, k)
+        np.testing.assert_array_equal(got.ids, ref.ids, err_msg=name)
+        np.testing.assert_array_equal(got.scores, ref.scores, err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_differential_cases(), min_sample=st.integers(1, 24), seed=st.integers(0, 3))
+def test_recopt_bit_equal_to_mm(case, min_sample, seed):
+    model, _, k = case
+    candidates = {name: make for name, make in STRATEGIES.items() if name != "mm"}
+    got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
+    ref = BlockedMM(model).query_all(k)
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_array_equal(got.scores, ref.scores)
