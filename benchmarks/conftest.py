@@ -1,22 +1,13 @@
 """Shared fixtures for the benchmark suite.
 
-Benchmarks run the table harnesses at reduced scale so the whole suite
-finishes in minutes; the full-scale numbers for EXPERIMENTS.md come from
-the ``jobs/`` entrypoints.  BLAS is warmed once so first-touch thread-pool
-setup does not pollute the first benchmark.
+The full-scale numbers for EXPERIMENTS.md come from the ``jobs/``
+entrypoints and the gated ones from ``mipsbench``.  BLAS is warmed once so
+first-touch thread-pool setup does not pollute the first benchmark.
 """
 import numpy as np
 import pytest
-
-from repro.experiments.grid import reference_grid
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_blas():
     _ = np.random.rand(1024, 64) @ np.random.rand(64, 4096)
-
-
-@pytest.fixture(scope="session")
-def grid_models():
-    """Full-size reference grid, built once and indexed by name."""
-    return {m.name: m for m in reference_grid()}

@@ -40,7 +40,7 @@ from repro.mf.models import MFModel
 
 DEFAULT_CLUSTERS = 8  # paper: C=8
 DEFAULT_BLOCK = 4096  # paper: B=4096
-_WALK_CHUNK = 64  # vectorized chunk size for the post-prefix walk
+_WALK_CHUNK = 32  # vectorized chunk size for the post-prefix walk
 _KMEANS_ITERS = 10
 
 

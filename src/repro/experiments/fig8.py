@@ -12,7 +12,7 @@ import time
 
 import pandas as pd
 
-from repro.core.recdex import RecdexIndex
+from repro.core.recdex import _WALK_CHUNK, RecdexIndex
 from repro.mf.models import MFModel
 
 
@@ -21,7 +21,7 @@ def breakdown(
     *,
     k: int = 1,
     block: int | None = None,
-    walk_chunk: int = 32,
+    walk_chunk: int = _WALK_CHUNK,
     lesion_chunk: int = 32,
 ) -> pd.DataFrame:
     """One row per model: stage times, lesion serve time, sharing speedup.

@@ -71,5 +71,5 @@ def strategy_factories(model: MFModel) -> dict[str, Callable[[MFModel], Strategy
         "lemp": lambda m, b=bucket: LempIndex(m, bucket_size=b),
         "fexipro-si": lambda m: FexiproIndex(m, variant="SI"),
         "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
-        "recdex": lambda m, b=block: RecdexIndex(m, block=b, walk_chunk=32),
+        "recdex": lambda m, b=block: RecdexIndex(m, block=b),
     }

@@ -32,9 +32,6 @@ class TopK:
     ids: np.ndarray
     scores: np.ndarray
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.ids[i], self.scores[i]
-
 
 class Strategy(ABC):
     """Base class for exact MIPS serving strategies."""

@@ -54,11 +54,27 @@ def _emit(user_ids: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> pd.DataF
     )
 
 
+def _user_block(features: pd.Series, f: int) -> np.ndarray:
+    """Stack a batch's ``features`` into an ``(m, f)`` matrix.
+
+    Raises ``ValueError`` for a row whose length is not ``f`` or that holds
+    NaN or inf.  Blocked MM would answer a NaN row with duplicate ids
+    scored ``-inf``, and die in ``matmul`` on a row of the wrong length.
+    """
+    if any(len(v) != f for v in features):
+        raise ValueError(f"features must have length {f}, the model's rank")
+    users = np.stack(features.to_numpy())
+    if not np.isfinite(users).all():
+        raise ValueError("features must be finite (no NaN or inf)")
+    return users
+
+
 def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: int) -> DataFrame:
     """Exact top-``k`` for every row of ``users_df`` with ``strategy``.
 
     Blocked MM answers from each row's ``features`` against the broadcast
-    item matrix; any other strategy is built here if it is not yet,
+    item matrix, and fails for features that are not finite or not of
+    length ``model.f``; any other strategy is built here if it is not yet,
     broadcast built, and queried by ``id``, which must lie in
     ``[0, model.m)``.
     """
@@ -66,13 +82,14 @@ def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: 
         raise ValueError(f"k must be at least 1, got {k}")
     if isinstance(strategy, BlockedMM):
         items_bc = spark.sparkContext.broadcast(strategy.model.items)
+        f = strategy.model.f
 
         def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             items = items_bc.value
             for pdf in batches:
                 if len(pdf) == 0:
                     continue
-                ids, scores = blocked_mm_topk(np.stack(pdf["features"].to_numpy()), items, k)
+                ids, scores = blocked_mm_topk(_user_block(pdf["features"], f), items, k)
                 yield _emit(pdf["id"].to_numpy(), ids, scores)
 
         return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)

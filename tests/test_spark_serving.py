@@ -162,3 +162,23 @@ def test_index_rejects_ids_outside_model(spark, model, where):
     out = serve_topk(spark, users_df, FACTORIES["lemp"](model), 3)
     with pytest.raises(PythonException, match="user ids must lie in"):
         out.collect()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([np.nan, 0.0, 1.0, 2.0], "finite"),
+        ([np.inf, 0.0, 1.0, 2.0], "finite"),
+        ([1.0, 2.0], "length 4"),
+    ],
+    ids=["nan", "inf", "short"],
+)
+def test_mm_rejects_bad_features(spark, model, bad, message):
+    """A bad feature row must fail, not come back as duplicate ids scored -inf."""
+    users_df = spark.createDataFrame(
+        pd.DataFrame({"id": [0, 1], "features": [list(model.users[0]), bad]}),
+        schema=VECTOR_SCHEMA,
+    )
+    out = serve_topk(spark, users_df, BlockedMM(model), 3)
+    with pytest.raises(PythonException, match=message):
+        out.collect()

@@ -1,20 +1,11 @@
-"""Tests for the Strategy protocol and TopK container."""
+"""Tests for the Strategy protocol."""
 import numpy as np
-import pytest
 
 from repro.core.recdex import RecdexIndex
-from repro.indexes.base import TopK
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
 from repro.mf.models import tiny_model
-
-
-def test_topk_row_accessor():
-    t = TopK(ids=np.array([[1, 2], [3, 4]]), scores=np.array([[9.0, 8.0], [7.0, 6.0]]))
-    ids, sc = t.row(1)
-    np.testing.assert_array_equal(ids, [3, 4])
-    np.testing.assert_array_equal(sc, [7.0, 6.0])
 
 
 def test_batching_flags():
