@@ -56,7 +56,7 @@ def _seed_centers(
     return centers
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point, and ``‖c‖² − 2x·c`` to it (``d² − ‖x‖²``)."""
     dist = (-2.0 * centers) @ x.T  # scaling by 2 is exact: the same as -2·(c·x)
     dist += _sq_norms(centers)[:, None]
@@ -89,7 +89,7 @@ def kmeans(
     centers = _seed_centers(x, x_sq, k, g)
     clusters = np.arange(k)[:, None]
     for _ in range(n_iters):
-        labels, best = _assign(x, centers)
+        labels, best = assign(x, centers)
         counts = np.bincount(labels, minlength=k)
         new_centers = ((labels == clusters).astype(x.dtype) @ x) / np.maximum(counts, 1)[:, None]
         empty = counts == 0
@@ -100,5 +100,5 @@ def kmeans(
         centers = new_centers
         if shift < tol:
             break
-    labels, _ = _assign(x, centers)
+    labels, _ = assign(x, centers)
     return labels, centers

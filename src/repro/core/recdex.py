@@ -8,10 +8,12 @@ Construction (Algorithm 1, ``ConstructIndex``):
    (Eqn. 3)  r*_ci = ‖i‖·cos(θ_ic − θ_b)  if θ_b < θ_ic  else ‖i‖;
 4. sort each cluster's items by r*_ci descending — the index.
 
-Querying (Algorithm 1, ``QueryIndex``) walks a user's cluster list,
-stopping when r*_ci < (kth-best u·i)/‖u‖ (Lemma 5.1 guarantees r* upper
-bounds the ‖u‖-normalized score, so nothing past the stop can enter the
-top-K).  Note Algorithm 1 in the paper compares the raw heap min against
+Querying (Algorithm 1, ``QueryIndex``) walks the list of a user vector's
+nearest center (k-means's ``assign``), stopping when r*_ci < (kth-best
+u·i)/‖u‖: Lemma 5.1 guarantees r* upper bounds the ‖u‖-normalized score of
+any user within θ_b of the center, built on or not, so nothing past the
+stop can enter the top-K.  A user outside the cone is answered by blocked
+MM.  Note Algorithm 1 in the paper compares the raw heap min against
 CBound; the bound is on the *normalized* score, so we divide by ‖u‖ —
 without it the walk would terminate early for users with ‖u‖ > 1 and the
 result would not be exact.
@@ -31,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kmeans import kmeans
+from repro.core.kmeans import assign, kmeans
 from repro.indexes.base import Strategy, TopK
+from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.linalg.bounded_walk import bounded_walk
 from repro.linalg.kernels import angles_to, row_norms
 from repro.linalg.kernels import merge_topk, topk_with_ids  # noqa: F401  (patched by mipsbench/tracing.py)
@@ -61,11 +64,9 @@ def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float) -> np.n
 class _ClusterList:
     """One cluster's item list, sorted by descending bound ``r*_ci``."""
 
-    center: np.ndarray
     theta_b: float
     item_order: np.ndarray
     bounds: np.ndarray
-    user_rows: np.ndarray
 
 
 class RecdexIndex(Strategy):
@@ -89,7 +90,8 @@ class RecdexIndex(Strategy):
         self.shared = shared
         self.walk_chunk = max(1, walk_chunk)
         self.clusters: list[_ClusterList] = []
-        self.labels: np.ndarray | None = None
+        #: the non-empty clusters' centers, one row per entry of ``clusters``
+        self.centers: np.ndarray | None = None
         #: the largest item norm, which scales the walk's rounding slack
         self.max_norm = 0.0
         #: wall-clock per construction stage, for the Fig. 8 breakdown
@@ -110,12 +112,13 @@ class RecdexIndex(Strategy):
         t1 = time.perf_counter()
         item_norms = row_norms(model.items)
         clusters: list[_ClusterList] = []
-        theta_time = 0.0
+        # The per-row form the query tests its users with, so a build user stays inside.
+        user_angles = angles_to(model.users, centers[labels])
+        theta_time = time.perf_counter() - t1
         sort_time = 0.0
         for j in range(centers.shape[0]):
-            user_rows = np.nonzero(labels == j)[0]
             ts = time.perf_counter()
-            theta_b = float(angles_to(model.users[user_rows], centers[j]).max())
+            theta_b = float(user_angles[labels == j].max())
             theta_ic = angles_to(model.items, centers[j])
             bounds = cbound(theta_ic, item_norms, theta_b)
             theta_time += time.perf_counter() - ts
@@ -124,14 +127,12 @@ class RecdexIndex(Strategy):
             sort_time += time.perf_counter() - ts
             clusters.append(
                 _ClusterList(
-                    center=centers[j],
                     theta_b=theta_b,
                     item_order=order,
                     bounds=bounds[order],
-                    user_rows=user_rows,
                 )
             )
-        self.labels = labels
+        self.centers = centers
         self.clusters = clusters
         self.max_norm = float(item_norms.max(initial=0.0))
         self.timings = {
@@ -142,14 +143,16 @@ class RecdexIndex(Strategy):
         self.built = True
 
     # -- querying ----------------------------------------------------------
-    def query(self, user_rows: np.ndarray, k: int) -> TopK:
+    def query_vectors(self, users: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
-        users = self._users(user_rows)
         k = min(k, self.model.n)
         out_ids = np.empty((len(users), k), dtype=np.int64)
         out_scores = np.empty((len(users), k))
-        labels = self.labels[user_rows]
+        labels, _ = assign(users, self.centers)
+        # Lemma 5.1 holds only within θ_b of the center: blocked MM answers the rest.
+        theta_b = np.array([cl.theta_b for cl in self.clusters])
+        labels[angles_to(users, self.centers[labels]) > theta_b[labels]] = -1
         first = self.block if self.shared else self.walk_chunk
         for j, cl in enumerate(self.clusters):
             at = np.nonzero(labels == j)[0]
@@ -168,4 +171,10 @@ class RecdexIndex(Strategy):
                     max_norm=self.max_norm,
                 )
                 self.items_visited += scored
+        rows = np.nonzero(labels < 0)[0]
+        if rows.size:
+            out_ids[rows], out_scores[rows] = blocked_mm_topk(users[rows], self.model.items, k)
+            self.items_visited += rows.size * self.model.n
         return TopK(ids=out_ids, scores=out_scores)
+
+    query = Strategy.query  # in this class's namespace: mipsbench/tracing.py patches it per class

@@ -38,10 +38,10 @@ def breakdown(
         b = block if block is not None else max(32, model.n // 8)
         idx = RecdexIndex(model, block=b, walk_chunk=walk_chunk)
         idx.build()
-        idx.query_all(k)  # warm BLAS/thread pools outside the timed region
+        idx.query_vectors(model.users, k)  # warm BLAS/thread pools outside the timed region
         idx.items_visited = 0
         t0 = time.perf_counter()
-        idx.query_all(k)
+        idx.query_vectors(model.users, k)
         serve_shared = time.perf_counter() - t0
         w_bar = idx.items_visited / model.m
 
@@ -50,7 +50,7 @@ def breakdown(
         )
         lesion.build()
         t0 = time.perf_counter()
-        lesion.query_all(k)
+        lesion.query_vectors(model.users, k)
         serve_unshared = time.perf_counter() - t0
 
         pre = sum(idx.timings.values())

@@ -31,7 +31,7 @@ def time_strategy(
     strat = factory(model)
     strat.build()
     t1 = time.perf_counter()
-    res = strat.query_all(k)
+    res = strat.query_vectors(model.users, k)
     t2 = time.perf_counter()
     return StrategyTiming(
         strategy=name or strat.name,

@@ -1,7 +1,8 @@
 """Strategy protocol shared by every MIPS serving technique.
 
 A strategy owns a model, optionally builds an index (``build``), and
-answers exact top-K queries for an arbitrary subset of users (``query``).
+answers exact top-K for any user vectors, built on or not (``query_vectors``);
+``query(user_rows)`` answers ``model.users[user_rows]``.
 RECOPT relies on three properties encoded here:
 
 * ``build`` is timed separately from queries (index construction is cheap
@@ -26,7 +27,7 @@ class TopK:
     """Exact top-K answer for a set of users, in canonical order.
 
     ``ids``/``scores`` are ``(n_queried, k)``; row order matches the
-    ``user_rows`` passed to ``query``.
+    users passed to ``query_vectors`` (or the rows passed to ``query``).
     """
 
     ids: np.ndarray
@@ -50,8 +51,12 @@ class Strategy(ABC):
         self.built = True
 
     @abstractmethod
+    def query_vectors(self, users: np.ndarray, k: int) -> TopK:
+        """Exact top-``k`` for each row of the ``(q, f)`` matrix ``users``."""
+
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         """Exact top-``k`` for ``model.users[user_rows]``."""
+        return self.query_vectors(self._users(user_rows), k)
 
     def _users(self, user_rows: np.ndarray) -> np.ndarray:
         """``model.users[user_rows]``; raises ``ValueError`` for a row outside ``[0, m)``.
@@ -63,6 +68,3 @@ class Strategy(ABC):
         if user_rows.size and (user_rows.min() < 0 or user_rows.max() >= m):
             raise ValueError(f"user ids must lie in [0, {m})")
         return self.model.users[user_rows]
-
-    def query_all(self, k: int) -> TopK:
-        return self.query(np.arange(self.model.m), k)

@@ -146,10 +146,9 @@ class FexiproIndex(Strategy):
         ids2, sc2 = canonical_topk(ids[None, :], all_scores[None, :])
         return ids2[0, :kk], sc2[0, :kk]
 
-    def query(self, user_rows: np.ndarray, k: int) -> TopK:
+    def query_vectors(self, users: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
-        users = self._users(user_rows)
         k = min(k, self.model.n)
         out_ids = np.empty((len(users), k), dtype=np.int64)
         out_scores = np.empty((len(users), k))
@@ -157,3 +156,5 @@ class FexiproIndex(Strategy):
             ids, sc = self._query_one(u, k)
             out_ids[i], out_scores[i] = ids, sc
         return TopK(ids=out_ids, scores=out_scores)
+
+    query = Strategy.query  # in this class's namespace: mipsbench/tracing.py patches it per class

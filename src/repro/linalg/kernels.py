@@ -27,18 +27,20 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def angles_to(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Angular distance (radians, in [0, pi]) from each row to ``center``.
 
-    Zero-norm rows or a zero-norm center are defined to have angle 0 — a
-    zero vector's inner product with anything is 0, and treating it as
-    perfectly aligned keeps every bound that uses these angles conservative
-    (cos(θ - θ_b) can only grow when θ shrinks).
+    ``center`` is one vector, or one center per row.  Zero-norm rows or a
+    zero-norm center are defined to have angle 0 — a zero vector's inner
+    product with anything is 0, and treating it as perfectly aligned keeps
+    every bound that uses these angles conservative (cos(θ - θ_b) can only
+    grow when θ shrinks).
     """
-    cn = float(np.linalg.norm(center))
+    if center.ndim == 1:
+        dots, cn = vectors @ center, np.linalg.norm(center)
+    else:
+        dots, cn = np.einsum("ij,ij->i", vectors, center), row_norms(center)
     vn = row_norms(vectors)
-    if cn == 0.0:
-        return np.zeros(len(vectors))
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = (vectors @ center) / (vn * cn)
-    cos = np.where(vn == 0.0, 1.0, cos)
+        cos = dots / (vn * cn)
+    cos = np.where((vn == 0.0) | (cn == 0.0), 1.0, cos)
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 

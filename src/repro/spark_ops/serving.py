@@ -2,24 +2,23 @@
 
 Per the reproduction plan (DESIGN.md §4), ``serve_topk`` expresses a
 built ``Strategy`` as a DataFrame → DataFrame transform over the users
-frame via ``mapInPandas``.  The partition body depends on its type:
-
-* **blocked MM** — pure data-parallel: each partition multiplies its users'
-  feature block against the broadcast item matrix (blocked GEMM) and
-  extracts top-K.  Only the broadcast *items* are shared state.
-* **index strategies** (lemp / fexipro / recdex) — the index is built
-  once on the driver (construction is cheap relative to traversal, the
-  paper's Fig. 2 observation) and broadcast *built*; partitions query it
-  by user id.  This matches the paper's batch setting, where the index is
-  constructed over the model being served — RECDEX's θ_b bound is only
-  valid for the users it was built on, so partitions must not rebuild it
-  over arbitrary vector subsets.
+frame via ``mapInPandas``.  Every strategy runs the same partition body:
+the strategy is built once on the driver (construction is cheap relative
+to traversal, the paper's Fig. 2 observation) and broadcast built, with
+its model's user matrix left out; each partition stacks its rows'
+``features`` and answers them with ``query_vectors``.  A row's ``id`` is
+only a label carried to the output.  Blocked MM ships its item matrix,
+the indexes their item lists and bounds; RECDEX assigns each row to its
+nearest center and answers a row outside that cluster's cone exactly by
+blocked MM.
 
 Output schema: ``(user_id, item_id, rank, score)`` with ``rank`` starting
 at 1 in canonical (score desc, item_id asc) order — exact top-K per user.
 """
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -28,8 +27,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from repro.indexes.base import Strategy
-from repro.indexes.brute_force import BlockedMM
-from repro.linalg.blocked_mm import blocked_mm_topk
 
 TOPK_SCHEMA = T.StructType(
     [
@@ -58,8 +55,8 @@ def _user_block(features: pd.Series, f: int) -> np.ndarray:
     """Stack a batch's ``features`` into an ``(m, f)`` matrix.
 
     Raises ``ValueError`` for a row whose length is not ``f`` or that holds
-    NaN or inf.  Blocked MM would answer a NaN row with duplicate ids
-    scored ``-inf``, and die in ``matmul`` on a row of the wrong length.
+    NaN or inf.  A NaN row would otherwise come back as duplicate ids
+    scored ``-inf``, and a row of the wrong length die in ``matmul``.
     """
     if any(len(v) != f for v in features):
         raise ValueError(f"features must have length {f}, the model's rank")
@@ -72,38 +69,23 @@ def _user_block(features: pd.Series, f: int) -> np.ndarray:
 def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: int) -> DataFrame:
     """Exact top-``k`` for every row of ``users_df`` with ``strategy``.
 
-    Blocked MM answers from each row's ``features`` against the broadcast
-    item matrix, and fails for features that are not finite or not of
-    length ``model.f``; any other strategy is built here if it is not yet,
-    broadcast built, and queried by ``id``, which must lie in
-    ``[0, model.m)``.
+    Each row is answered from its ``features``, which must be finite and
+    of length ``model.f``; its ``id`` is copied to ``user_id``.  The
+    strategy is built here if it is not yet.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if isinstance(strategy, BlockedMM):
-        items_bc = spark.sparkContext.broadcast(strategy.model.items)
-        f = strategy.model.f
-
-        def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            items = items_bc.value
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                ids, scores = blocked_mm_topk(_user_block(pdf["features"], f), items, k)
-                yield _emit(pdf["id"].to_numpy(), ids, scores)
-
-        return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)
-
     strategy.build()  # idempotent: a no-op once built
-    strat_bc = spark.sparkContext.broadcast(strategy)
+    shipped = copy.copy(strategy)
+    shipped.model = replace(strategy.model, users=strategy.model.users[:0])
+    strat_bc = spark.sparkContext.broadcast(shipped)
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         strat = strat_bc.value
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            rows = pdf["id"].to_numpy()
-            res = strat.query(rows, k)  # raises for ids outside [0, m)
-            yield _emit(rows, res.ids, res.scores)
+            res = strat.query_vectors(_user_block(pdf["features"], strat.model.f), k)
+            yield _emit(pdf["id"].to_numpy(), res.ids, res.scores)
 
     return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)

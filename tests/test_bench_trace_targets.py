@@ -15,7 +15,7 @@ from repro.core.recopt import Recopt
 from repro.experiments.grid import strategy_factories
 from repro.indexes.base import TopK
 from repro.mf.models import tiny_model
-from repro.validate import assert_valid_topk
+from tests.validate import assert_valid_topk
 
 
 def test_install_wraps_and_uninstall_restores_every_target():

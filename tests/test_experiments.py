@@ -50,7 +50,7 @@ def test_factories_cover_all_strategies(small_models):
     assert set(fac) == {"mm", "lemp", "fexipro-si", "fexipro-sir", "recdex"}
     for f in fac.values():
         strat = f(small_models[0])
-        res = strat.query_all(2)
+        res = strat.query_vectors(small_models[0].users, 2)
         assert res.ids.shape == (small_models[0].m, 2)
 
 

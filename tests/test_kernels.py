@@ -65,6 +65,16 @@ def test_angles_to_zero_center():
     np.testing.assert_array_equal(th, 0.0)
 
 
+def test_angles_to_per_row_centers():
+    """One center per row answers as each row against its own center, zeros included."""
+    g = np.random.default_rng(2)
+    v, c = g.normal(size=(20, 5)), g.normal(size=(20, 5))
+    v[3], c[7] = 0.0, 0.0
+    want = [angles_to(v[i : i + 1], c[i])[0] for i in range(20)]
+    np.testing.assert_allclose(angles_to(v, c), want, atol=1e-12)
+    assert angles_to(v, c)[3] == 0.0 and angles_to(v, c)[7] == 0.0
+
+
 def test_canonical_topk_orders_by_score_desc():
     ids = np.array([[3, 1, 2]])
     scores = np.array([[1.0, 3.0, 2.0]])

@@ -53,13 +53,13 @@ def test_pruning_actually_skips_buckets():
 
     model = MFModel(name="spread", users=g.normal(size=(20, 4)), items=dirs * norms[:, None])
     idx = LempIndex(model, bucket_size=5)
-    res = idx.query_all(1)
+    res = idx.query_vectors(model.users, 1)
     assert np.all(res.ids < 10)  # only large-norm items can win
 
 
 def test_query_before_build_autobuilds():
     model = tiny_model(m=6, n=9, f=3, seed=5)
     idx = LempIndex(model, bucket_size=4)
-    res = idx.query_all(2)  # no explicit build()
+    res = idx.query_vectors(model.users, 2)  # no explicit build()
     assert idx.built
     assert res.ids.shape == (6, 2)

@@ -5,10 +5,10 @@ import pytest
 
 from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import MFModel
-from repro.oracle import assert_equivalent
 from repro.spark_ops.frames import model_to_user_df
 from repro.spark_ops.serving import serve_topk
-from repro.validate import TOPK_ORACLE_SQL, matrix_to_long
+from tests.oracle import assert_equivalent
+from tests.validate import TOPK_ORACLE_SQL, matrix_to_long
 
 
 def test_oracle_accepts_matching_aggregate(spark):

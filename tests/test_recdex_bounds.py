@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kmeans import kmeans
+from repro.core.kmeans import assign
 from repro.core.recdex import RecdexIndex, cbound
 from repro.linalg.kernels import angles_to
 from repro.mf.models import tiny_model
@@ -91,25 +91,33 @@ def test_cluster_lists_cover_all_items(built_index):
         assert sorted(cl.item_order.tolist()) == list(range(model.n))
 
 
+def _members(model, idx):
+    """Each cluster's users, by the nearest-center rule the query applies."""
+    labels, _ = assign(model.users, idx.centers)
+    return [np.nonzero(labels == j)[0] for j in range(len(idx.clusters))]
+
+
 def test_theta_b_covers_all_members(built_index):
     """θ_b must be ≥ every member's angle to the centroid."""
     model, idx = built_index
-    for cl in idx.clusters:
-        member_angles = angles_to(model.users[cl.user_rows], cl.center)
+    for cl, center, rows in zip(idx.clusters, idx.centers, _members(model, idx)):
+        member_angles = angles_to(model.users[rows], center)
         assert member_angles.max() <= cl.theta_b + 1e-12
 
 
 def test_clusters_partition_users(built_index):
     model, idx = built_index
-    all_rows = np.concatenate([cl.user_rows for cl in idx.clusters])
+    members = _members(model, idx)
+    assert all(rows.size for rows in members)
+    all_rows = np.concatenate(members)
     assert sorted(all_rows.tolist()) == list(range(model.m))
 
 
 def test_bounds_dominate_member_normalized_scores(built_index):
     """End-to-end Lemma 5.1 on a real built index."""
     model, idx = built_index
-    for cl in idx.clusters:
-        users = model.users[cl.user_rows]
+    for cl, rows in zip(idx.clusters, _members(model, idx)):
+        users = model.users[rows]
         norms = np.linalg.norm(users, axis=1, keepdims=True)
         normalized = (users @ model.items[cl.item_order].T) / np.maximum(norms, 1e-12)
         assert np.all(normalized <= cl.bounds[None, :] + 1e-9)
@@ -120,7 +128,7 @@ def test_items_visited_counter(built_index):
     idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4)
     idx.build()
     assert idx.items_visited == 0
-    idx.query_all(3)
+    idx.query_vectors(model.users, 3)
     assert idx.items_visited >= model.m * min(3, model.n)
     assert idx.items_visited <= model.m * model.n
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.recdex import RecdexIndex
 from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import concentration_model, tiny_model
-from repro.validate import assert_valid_topk
+from tests.validate import assert_valid_topk
 
 
 @pytest.fixture(scope="module")
@@ -15,25 +15,25 @@ def model():
 
 @pytest.mark.parametrize("block", [1, 4, 16, 64, 1000])
 def test_block_size_invariance(model, block):
-    res = RecdexIndex(model, block=block, walk_chunk=4).query_all(5)
+    res = RecdexIndex(model, block=block, walk_chunk=4).query_vectors(model.users, 5)
     assert_valid_topk(model, res, 5)
 
 
 @pytest.mark.parametrize("walk_chunk", [1, 3, 16, 500])
 def test_walk_chunk_invariance(model, walk_chunk):
-    res = RecdexIndex(model, block=8, walk_chunk=walk_chunk).query_all(5)
+    res = RecdexIndex(model, block=8, walk_chunk=walk_chunk).query_vectors(model.users, 5)
     assert_valid_topk(model, res, 5)
 
 
 @pytest.mark.parametrize("n_clusters", [1, 2, 8, 80])
 def test_cluster_count_invariance(model, n_clusters):
-    res = RecdexIndex(model, n_clusters=n_clusters, block=8, walk_chunk=4).query_all(3)
+    res = RecdexIndex(model, n_clusters=n_clusters, block=8, walk_chunk=4).query_vectors(model.users, 3)
     assert_valid_topk(model, res, 3)
 
 
 def test_lesion_matches_shared(model):
-    shared = RecdexIndex(model, block=16, walk_chunk=4, shared=True).query_all(4)
-    lesion = RecdexIndex(model, block=16, walk_chunk=4, shared=False).query_all(4)
+    shared = RecdexIndex(model, block=16, walk_chunk=4, shared=True).query_vectors(model.users, 4)
+    lesion = RecdexIndex(model, block=16, walk_chunk=4, shared=False).query_vectors(model.users, 4)
     # Identical GEMM shapes are not guaranteed between the two paths, so
     # compare scores (not necessarily tied ids) and validate both.
     np.testing.assert_allclose(shared.scores, lesion.scores, atol=1e-9)
@@ -45,13 +45,13 @@ def test_shuffled_user_rows(model):
     idx = RecdexIndex(model, block=8, walk_chunk=4)
     rows = np.random.default_rng(0).permutation(model.m)[:17]
     res = idx.query(rows, 3)
-    full = idx.query_all(3)
+    full = idx.query_vectors(model.users, 3)
     np.testing.assert_allclose(res.scores, full.scores[rows])
 
 
 def test_more_clusters_than_users():
     small = tiny_model(m=5, n=12, f=3, seed=1)
-    res = RecdexIndex(small, n_clusters=50, block=4, walk_chunk=2).query_all(3)
+    res = RecdexIndex(small, n_clusters=50, block=4, walk_chunk=2).query_vectors(small.users, 3)
     assert_valid_topk(small, res, 3)
 
 
@@ -67,13 +67,13 @@ def test_visits_fewer_items_when_concentrated():
     def w_bar(kappa):
         m = concentration_model(n_users=150, n_items=400, f=8, kappa=kappa, seed=9)
         idx = RecdexIndex(m, block=16, walk_chunk=8)
-        idx.query_all(1)
+        idx.query_vectors(m.users, 1)
         return idx.items_visited / m.m
 
     assert w_bar(500.0) < w_bar(0.05)
 
 
 def test_result_matches_brute_force_scores(model):
-    ref = BlockedMM(model).query_all(6)
-    got = RecdexIndex(model, block=8, walk_chunk=4).query_all(6)
+    ref = BlockedMM(model).query_vectors(model.users, 6)
+    got = RecdexIndex(model, block=8, walk_chunk=4).query_vectors(model.users, 6)
     np.testing.assert_allclose(got.scores, ref.scores, atol=1e-9)

@@ -9,7 +9,7 @@ from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
 from repro.mf.models import concentration_model, tiny_model
-from repro.validate import assert_valid_topk
+from tests.validate import assert_valid_topk
 
 
 # --- the T-test helper ----------------------------------------------------
@@ -115,11 +115,11 @@ def test_choice_follows_forced_timings(model):
         name = "slow"
         batching = True
 
-        def query(self, user_rows, k):
+        def query_vectors(self, users, k):
             # Simulate an index ~100x slower than brute force.
             for _ in range(100):
-                self.model.users[user_rows] @ self.model.items.T
-            return BlockedMM(self.model).query(user_rows, k)
+                users @ self.model.items.T
+            return BlockedMM(self.model).query_vectors(users, k)
 
     res, report = Recopt(
         model, {"slow": lambda m: SlowIndex(m)}, k=3, min_sample=32, seed=6
@@ -144,9 +144,13 @@ def test_choice_prefers_instant_index(model):
 
         def build(self):
             if not self.built:
-                self._cache = BlockedMM(self.model).query_all(3)
+                self._cache = BlockedMM(self.model).query_vectors(self.model.users, 3)
                 self.built = True
 
+        def query_vectors(self, users, k):
+            return BlockedMM(self.model).query_vectors(users, k)
+
+        # RECOPT times ``query(rows)``, which this fake answers from its cache.
         def query(self, user_rows, k):
             return TopK(
                 ids=self._cache.ids[user_rows, :k],

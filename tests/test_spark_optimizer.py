@@ -5,10 +5,10 @@ import pytest
 from repro.core.recdex import RecdexIndex
 from repro.indexes.lemp import LempIndex
 from repro.mf.models import MFModel
-from repro.oracle import assert_equivalent
 from repro.spark_ops.frames import model_to_user_df
 from repro.spark_ops.optimizer import recopt_serve
-from repro.validate import TOPK_ORACLE_SQL, matrix_to_long
+from tests.oracle import assert_equivalent
+from tests.validate import TOPK_ORACLE_SQL, matrix_to_long
 
 
 @pytest.fixture(scope="module")

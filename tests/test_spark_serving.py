@@ -1,5 +1,5 @@
 """The Spark serving operator: schema, exactness vs kernels, DuckDB oracle,
-what each partition body broadcasts, and rejected input.
+what it broadcasts, ids as labels, and rejected input.
 
 Oracle checks use small-integer models so float64 arithmetic is exact on
 both sides (Spark/NumPy vs DuckDB SUM) and ranks are deterministic.
@@ -14,10 +14,11 @@ from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
 from repro.mf.models import MFModel
-from repro.oracle import assert_equivalent
 from repro.spark_ops.frames import VECTOR_SCHEMA, model_to_user_df
+from repro.spark_ops.optimizer import recopt_serve
 from repro.spark_ops.serving import serve_topk
-from repro.validate import TOPK_ORACLE_SQL, matrix_to_long
+from tests.oracle import assert_equivalent
+from tests.validate import TOPK_ORACLE_SQL, matrix_to_long
 
 FACTORIES = {
     "lemp": lambda m: LempIndex(m, bucket_size=16),
@@ -25,6 +26,22 @@ FACTORIES = {
     "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
     "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=8),
 }
+STRATEGIES = {"mm": BlockedMM, **FACTORIES}
+
+
+def _frame(spark, ids, features, n_partitions=None):
+    pdf = pd.DataFrame({"id": np.asarray(ids, dtype=np.int64), "features": list(features)})
+    df = spark.createDataFrame(pdf, schema=VECTOR_SCHEMA)
+    return df if n_partitions is None else df.repartition(n_partitions)
+
+
+def _collect(out, n_users, k):
+    """``(user_ids, ids, scores)`` of a top-``k`` frame, one row per user, by user id."""
+    pdf = out.toPandas().sort_values(["user_id", "rank"])
+    users = pdf["user_id"].to_numpy().reshape(n_users, k)[:, 0]
+    ids = pdf["item_id"].to_numpy().reshape(n_users, k)
+    scores = pdf["score"].to_numpy().reshape(n_users, k)
+    return users, ids, scores
 
 
 def int_model(m=30, n=20, f=4, seed=0):
@@ -81,36 +98,70 @@ def test_index_operator_against_oracle(spark, model, users_df, name):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_index_operator_matches_driver_kernel(spark, model, users_df, name):
     """The distributed operator must agree with the single-process strategy."""
-    out = (
-        serve_topk(spark, users_df, FACTORIES[name](model), 3)
-        .toPandas()
-        .sort_values(["user_id", "rank"])
-    )
-    ref = BlockedMM(model).query_all(3)
-    got_ids = out["item_id"].to_numpy().reshape(model.m, 3)
-    got_scores = out["score"].to_numpy().reshape(model.m, 3)
-    order = np.argsort(out["user_id"].to_numpy().reshape(model.m, 3)[:, 0])
-    np.testing.assert_array_equal(got_ids[order], ref.ids)
-    np.testing.assert_array_equal(got_scores[order], ref.scores)
+    users, ids, scores = _collect(serve_topk(spark, users_df, FACTORIES[name](model), 3), model.m, 3)
+    ref = BlockedMM(model).query_vectors(model.users, 3)
+    np.testing.assert_array_equal(users, np.arange(model.m))
+    np.testing.assert_array_equal(ids, ref.ids)
+    np.testing.assert_array_equal(scores, ref.scores)
 
 
 def test_partitioning_invariance(spark, model):
-    """Same result regardless of user partitioning."""
+    """Same result from every strategy regardless of user partitioning."""
     k = 2
-    a = (
-        serve_topk(spark, model_to_user_df(spark, model, n_partitions=1), BlockedMM(model), k)
-        .toPandas().sort_values(["user_id", "rank"]).reset_index(drop=True)
-    )
-    b = (
-        serve_topk(spark, model_to_user_df(spark, model, n_partitions=9), BlockedMM(model), k)
-        .toPandas().sort_values(["user_id", "rank"]).reset_index(drop=True)
-    )
-    assert a.equals(b)
+    for name, make in STRATEGIES.items():
+        a, b = (
+            serve_topk(spark, model_to_user_df(spark, model, n_partitions=p), make(model), k)
+            .toPandas().sort_values(["user_id", "rank"]).reset_index(drop=True)
+            for p in (1, 9)
+        )
+        assert a.equals(b), name
 
 
 def test_k_exceeds_n_clamped(spark, model, users_df):
-    out = serve_topk(spark, users_df, BlockedMM(model), 100)
-    assert out.count() == model.m * model.n
+    for name, make in STRATEGIES.items():
+        out = serve_topk(spark, users_df, make(model), 100)
+        assert out.count() == model.m * model.n, name
+
+
+def test_every_strategy_answers_features(spark, model):
+    """Each row is answered from its ``features``, never from the model's row ``id``.
+
+    Rows 0 and 1 carry the negated vectors of users 0 and 1; the last row's
+    id is no user of the model.
+    """
+    k = 4
+    features = np.vstack([-model.users[:2], [3.0, -1.0, 0.0, 2.0]])
+    ids = np.array([0, 1, model.m + 7])
+    want = BlockedMM(model).query_vectors(features, k)
+    for name, make in STRATEGIES.items():
+        users, got_ids, got_scores = _collect(
+            serve_topk(spark, _frame(spark, ids, features), make(model), k), len(ids), k
+        )
+        np.testing.assert_array_equal(users, ids)
+        np.testing.assert_array_equal(got_ids, want.ids, err_msg=name)
+        np.testing.assert_array_equal(got_scores, want.scores, err_msg=name)
+
+
+@pytest.mark.parametrize("name", [*STRATEGIES, "recopt"])
+def test_ids_are_labels_against_oracle(spark, model, name):
+    """Shuffled, negative and sparse ids come back unchanged, with DuckDB's top-K."""
+    k = 3
+    g = np.random.default_rng(5)
+    perm = g.permutation(model.m)
+    ids = np.arange(-3 * model.m, 3 * model.m, 6)[g.permutation(model.m)]
+    users_df = _frame(spark, ids, model.users[perm], n_partitions=3)
+    if name == "recopt":
+        out, _ = recopt_serve(spark, users_df, model, FACTORIES, k=k, min_sample=8)
+    else:
+        out = serve_topk(spark, users_df, STRATEGIES[name](model), k)
+    users_long = matrix_to_long(model.users[perm], "user_id")
+    users_long["user_id"] = ids[users_long["user_id"]]
+    assert_equivalent(
+        out,
+        TOPK_ORACLE_SQL.format(k=k),
+        users_long=users_long,
+        items_long=matrix_to_long(model.items, "item_id"),
+    )
 
 
 @pytest.fixture
@@ -127,20 +178,19 @@ def broadcasts(spark, monkeypatch):
     return sent
 
 
-def test_mm_broadcasts_items_only(spark, model, users_df, broadcasts):
-    """MM answers from each row's features, so the user matrix stays home."""
-    out = serve_topk(spark, users_df, BlockedMM(model), 3)
-    assert len(broadcasts) == 1
-    assert isinstance(broadcasts[0], np.ndarray)
-    np.testing.assert_array_equal(broadcasts[0], model.items)
-    assert out.count() == model.m * 3
-
-
-def test_index_broadcasts_built_strategy(spark, model, users_df, broadcasts):
-    strategy = FACTORIES["recdex"](model)
-    serve_topk(spark, users_df, strategy, 3)
-    assert len(broadcasts) == 1 and broadcasts[0] is strategy
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_broadcast_is_built_strategy_without_users(spark, model, users_df, broadcasts, name):
+    """One value is broadcast: a built copy of the strategy whose model holds no user row."""
+    strategy = STRATEGIES[name](model)
+    out = serve_topk(spark, users_df, strategy, 3)
     assert strategy.built
+    assert len(broadcasts) == 1
+    shipped = broadcasts[0]
+    assert type(shipped) is type(strategy) and shipped.built
+    assert shipped.model.users.shape == (0, model.f)
+    np.testing.assert_array_equal(shipped.model.items, model.items)
+    assert strategy.model is model
+    assert out.count() == model.m * 3
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -149,19 +199,6 @@ def test_k_below_one_rejected(spark, model, users_df, name, k):
     strategy = BlockedMM(model) if name == "mm" else FACTORIES[name](model)
     with pytest.raises(ValueError):
         serve_topk(spark, users_df, strategy, k)
-
-
-@pytest.mark.parametrize("where", ["negative", "past-end"])
-def test_index_rejects_ids_outside_model(spark, model, where):
-    """A bad id must fail, not wrap to another user's vector or die in a kernel."""
-    bad_id = -1 if where == "negative" else model.m
-    users_df = spark.createDataFrame(
-        pd.DataFrame({"id": [0, bad_id], "features": list(model.users[:2])}),
-        schema=VECTOR_SCHEMA,
-    )
-    out = serve_topk(spark, users_df, FACTORIES["lemp"](model), 3)
-    with pytest.raises(PythonException, match="user ids must lie in"):
-        out.collect()
 
 
 @pytest.mark.parametrize(
@@ -174,11 +211,12 @@ def test_index_rejects_ids_outside_model(spark, model, where):
     ids=["nan", "inf", "short"],
 )
 def test_mm_rejects_bad_features(spark, model, bad, message):
-    """A bad feature row must fail, not come back as duplicate ids scored -inf."""
+    """A bad feature row must fail in every strategy, not come back as duplicate ids scored -inf."""
     users_df = spark.createDataFrame(
         pd.DataFrame({"id": [0, 1], "features": [list(model.users[0]), bad]}),
         schema=VECTOR_SCHEMA,
     )
-    out = serve_topk(spark, users_df, BlockedMM(model), 3)
-    with pytest.raises(PythonException, match=message):
-        out.collect()
+    for name, make in STRATEGIES.items():
+        out = serve_topk(spark, users_df, make(model), 3)
+        with pytest.raises(PythonException, match=message):
+            out.collect()

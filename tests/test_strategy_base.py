@@ -32,8 +32,9 @@ def test_build_sets_flag():
 
 
 def test_query_all_equals_query_arange():
+    """Every user as a vector answers as every user as a row."""
     m = tiny_model(m=9, n=7, f=3, seed=2)
     strat = LempIndex(m, bucket_size=4)
-    a = strat.query_all(2)
+    a = strat.query_vectors(m.users, 2)
     b = strat.query(np.arange(9), 2)
     np.testing.assert_array_equal(a.ids, b.ids)

@@ -1,6 +1,6 @@
 """Cross-strategy exactness: every index must solve MIPS exactly.
 
-Two layers of checking (see ``repro.validate``):
+Two layers of checking (see ``tests/validate.py``):
 
 * float models → ``assert_valid_topk`` (tolerance-aware; different BLAS
   call shapes legitimately differ in the last ulp, so tied groups may be
@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import recdex as recdex_module
 from repro.core.recdex import RecdexIndex
 from repro.core.recopt import Recopt
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
 from repro.linalg import bounded_walk as walk_module
+from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.mf.models import MFModel, concentration_model, tiny_model
-from repro.validate import assert_valid_topk
+from tests.validate import assert_valid_topk
 
 STRATEGIES = {
     "mm": BlockedMM,
@@ -43,8 +45,8 @@ def int_model(*, m=12, n=15, f=4, lo=-4, hi=5, seed=0) -> MFModel:
 
 
 def _strict_same(model, strategy, k):
-    ref = BlockedMM(model).query_all(k)
-    got = strategy(model).query_all(k)
+    ref = BlockedMM(model).query_vectors(model.users, k)
+    got = strategy(model).query_vectors(model.users, k)
     np.testing.assert_array_equal(got.ids, ref.ids)
     np.testing.assert_array_equal(got.scores, ref.scores)
 
@@ -56,52 +58,52 @@ def _strict_same(model, strategy, k):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_valid_on_random_model(name, k, seed):
     model = tiny_model(m=35, n=28, f=6, seed=seed)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(k), k)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, k), k)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 @pytest.mark.parametrize("kappa", [0.05, 50.0])
 def test_valid_on_concentrated_model(name, kappa):
     model = concentration_model(n_users=60, n_items=45, f=8, kappa=kappa, seed=7)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(5), 5)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 5), 5)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_valid_k_equals_n(name):
     model = tiny_model(m=12, n=9, f=4, seed=3)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(9), 9)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 9), 9)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_valid_k_exceeds_n(name):
     model = tiny_model(m=12, n=9, f=4, seed=4)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(50), 50)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 50), 50)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_valid_single_user(name):
     model = tiny_model(m=1, n=20, f=5, seed=5)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(4), 4)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 4), 4)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_valid_single_dim(name):
     model = tiny_model(m=15, n=12, f=1, seed=6)
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(3), 3)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 3), 3)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_valid_with_zero_norm_user(name):
     model = tiny_model(m=10, n=14, f=4, seed=8)
     model.users[3] = 0.0
-    assert_valid_topk(model, STRATEGIES[name](model).query_all(3), 3)
+    assert_valid_topk(model, STRATEGIES[name](model).query_vectors(model.users, 3), 3)
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_query_subset_matches_full(name):
     model = tiny_model(m=30, n=20, f=5, seed=10)
     strat = STRATEGIES[name](model)
-    full = strat.query_all(4)
+    full = strat.query_vectors(model.users, 4)
     # A sorted subset, then duplicated and unordered rows.
     for rows in (np.array([2, 5, 11, 29]), np.array([11, 3, 3, 29, 2, 11])):
         sub = strat.query(rows, 4)
@@ -142,7 +144,7 @@ def test_strict_all_tied_scores(name):
     """All-identical items: the whole score row ties; ids must be 0..k-1."""
     model = int_model(m=8, n=10, f=3, seed=11)
     model.items[:] = model.items[0]
-    ref = BlockedMM(model).query_all(3)
+    ref = BlockedMM(model).query_vectors(model.users, 3)
     np.testing.assert_array_equal(ref.ids, np.tile([0, 1, 2], (8, 1)))
     _strict_same(model, STRATEGIES[name], 3)
 
@@ -186,12 +188,14 @@ def test_strict_across_walk_user_blocks(name, k, monkeypatch):
 
 @st.composite
 def _differential_cases(draw):
-    """(model, rows, k) on integer models built to tie.
+    """(model, rows, vectors, k) on integer models built to tie.
 
     Entries in ``[-hi, hi]`` (``hi = 1`` ties the most), copies of item
     rows, users that are all one vector (one cluster, θ_b = 0) or all on
     one ray (θ_b = 0 in every cluster), zero and repeated user rows, n < f,
     K ∈ {1, n−1, n, n+5}, and query rows drawn as an unordered multiset.
+    ``vectors`` are query vectors drawn apart from the build users, some
+    of them negated users, which lie outside their cluster's cone.
     """
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 24))
@@ -211,27 +215,61 @@ def _differential_cases(draw):
     users[g.integers(m, size=draw(st.integers(0, m)))] = users[g.integers(m)]
     model = MFModel(name="fuzz", users=users, items=items)
     rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)))
+    q = draw(st.integers(1, 2 * m))
+    vectors = g.integers(-hi, hi + 1, size=(q, f)).astype(np.float64)
+    negated = g.integers(q, size=draw(st.integers(0, q)))
+    vectors[negated] = -users[g.integers(m, size=negated.size)]
     k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
-    return model, rows, k
+    return model, rows, vectors, k
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_differential_cases())
 def test_every_strategy_bit_equal_to_mm(case):
-    model, rows, k = case
-    ref = BlockedMM(model).query(rows, k)
+    model, rows, vectors, k = case
+    mm = BlockedMM(model)
+    ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
     for name, make in STRATEGIES.items():
-        got = make(model).query(rows, k)
-        np.testing.assert_array_equal(got.ids, ref.ids, err_msg=name)
-        np.testing.assert_array_equal(got.scores, ref.scores, err_msg=name)
+        strat = make(model)
+        for got, want in ((strat.query(rows, k), ref), (strat.query_vectors(vectors, k), ref_vectors)):
+            np.testing.assert_array_equal(got.ids, want.ids, err_msg=name)
+            np.testing.assert_array_equal(got.scores, want.scores, err_msg=name)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_recdex_answers_vector_outside_every_cone_by_mm(shared, monkeypatch):
+    """Users on one ray give every cluster θ_b = 0; the opposite vector lies outside all cones.
+
+    RECDEX must answer that vector by blocked MM, bit-equal to MM, and walk
+    the in-cone vector as usual.
+    """
+    ray = np.array([1.0, 2.0, -1.0, 0.0])
+    g = np.random.default_rng(15)
+    users = g.integers(1, 4, size=(12, 1)) * ray
+    model = MFModel(name="one-ray", users=users, items=g.integers(-4, 5, size=(30, 4)).astype(np.float64))
+    fallback = []
+
+    def spy(users, items, k):
+        fallback.append(users.copy())
+        return blocked_mm_topk(users, items, k)
+
+    monkeypatch.setattr(recdex_module, "blocked_mm_topk", spy)
+    idx = RecdexIndex(model, n_clusters=4, block=16, walk_chunk=4, shared=shared)
+    query = np.vstack([2 * ray, -ray])
+    got = idx.query_vectors(query, 5)
+    assert len(fallback) == 1
+    np.testing.assert_array_equal(fallback[0], -ray[None, :])
+    ref = BlockedMM(model).query_vectors(query, 5)
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_array_equal(got.scores, ref.scores)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_differential_cases(), min_sample=st.integers(1, 24), seed=st.integers(0, 3))
 def test_recopt_bit_equal_to_mm(case, min_sample, seed):
-    model, _, k = case
+    model, _, _, k = case
     candidates = {name: make for name, make in STRATEGIES.items() if name != "mm"}
     got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
-    ref = BlockedMM(model).query_all(k)
+    ref = BlockedMM(model).query_vectors(model.users, k)
     np.testing.assert_array_equal(got.ids, ref.ids)
     np.testing.assert_array_equal(got.scores, ref.scores)

@@ -25,5 +25,5 @@ def test_time_strategy_name_override():
 def test_time_strategy_result_exact():
     model = tiny_model(m=10, n=8, f=3, seed=2)
     t = time_strategy(lambda m: BlockedMM(m), model, 2)
-    ref = BlockedMM(model).query_all(2)
+    ref = BlockedMM(model).query_vectors(model.users, 2)
     np.testing.assert_array_equal(t.result.ids, ref.ids)

@@ -5,7 +5,7 @@ import pytest
 from repro.indexes.base import TopK
 from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import tiny_model
-from repro.validate import assert_valid_topk, matrix_to_long
+from tests.validate import assert_valid_topk, matrix_to_long
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def good(model):
-    return BlockedMM(model).query_all(3)
+    return BlockedMM(model).query_vectors(model.users, 3)
 
 
 def test_accepts_correct(model, good):

@@ -1,4 +1,4 @@
-"""Top-K validity checking shared by tests and experiment harnesses.
+"""Top-K validity checking for the tests.
 
 Two notions of correctness:
 
@@ -22,7 +22,7 @@ from repro.indexes.base import TopK
 from repro.mf.models import MFModel
 
 #: DuckDB query reproducing exact top-K over exploded factor matrices.
-#: Used with ``repro.oracle.assert_equivalent`` against the Spark serving
+#: Used with ``tests.oracle.assert_equivalent`` against the Spark serving
 #: output — tie-break (score desc, item_id asc) matches the canonical rule.
 TOPK_ORACLE_SQL = """
 WITH scores AS (
