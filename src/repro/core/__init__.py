@@ -1,6 +1,1 @@
 """The paper's contributions: RECDEX (index) and RECOPT (optimizer)."""
-from repro.core.kmeans import kmeans
-from repro.core.recdex import RecdexIndex, cbound
-from repro.core.recopt import Recopt, OptimizerReport
-
-__all__ = ["OptimizerReport", "Recopt", "RecdexIndex", "cbound", "kmeans"]

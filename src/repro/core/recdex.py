@@ -29,7 +29,6 @@ cross-user work sharing) used by the Fig. 8 blocking lesion study.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,26 +46,19 @@ _WALK_CHUNK = 32  # vectorized chunk size for the post-prefix walk
 _KMEANS_ITERS = 10
 
 
-def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float) -> np.ndarray:
+def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float | np.ndarray) -> np.ndarray:
     """Eqn. 3: upper bound on the normalized rating r*_ci (vectorized).
 
     ``‖i‖·cos(θ_ic − θ_b)`` where the cluster spread θ_b is smaller than
     the item's angle θ_ic, else ``‖i‖`` (the cosine's max of 1 applies).
+    θ_b is a scalar or an array that broadcasts against θ_ic, such as one
+    spread per row of a ``(clusters, items)`` angle matrix.
     """
     return np.where(
         theta_b < theta_ic,
         item_norms * np.cos(theta_ic - theta_b),
         item_norms,
     )
-
-
-@dataclass(frozen=True)
-class _ClusterList:
-    """One cluster's item list, sorted by descending bound ``r*_ci``."""
-
-    theta_b: float
-    item_order: np.ndarray
-    bounds: np.ndarray
 
 
 class RecdexIndex(Strategy):
@@ -89,9 +81,11 @@ class RecdexIndex(Strategy):
         self.block = max(1, block)
         self.shared = shared
         self.walk_chunk = max(1, walk_chunk)
-        self.clusters: list[_ClusterList] = []
-        #: the non-empty clusters' centers, one row per entry of ``clusters``
-        self.centers: np.ndarray | None = None
+        #: the index, one row per non-empty cluster: ``centers`` ``(C', f)``;
+        #: ``theta_b`` ``(C',)``, the largest angle from a member user to its
+        #: center; ``orders`` ``(C', n)``, the item ids by descending bound
+        #: r*_ci, and ``bounds`` ``(C', n)``, those bounds
+        self.centers = self.theta_b = self.orders = self.bounds = None
         #: the largest item norm, which scales the walk's rounding slack
         self.max_norm = 0.0
         #: wall-clock per construction stage, for the Fig. 8 breakdown
@@ -103,47 +97,32 @@ class RecdexIndex(Strategy):
     def build(self) -> None:
         if self.built:
             return
-        model = self.model
+        users, items = self.model.users, self.model.items
         t0 = time.perf_counter()
-        labels, centers = kmeans(model.users, self.n_clusters, n_iters=_KMEANS_ITERS, seed=0)
-        # Renumber the non-empty clusters 0..C'-1 so a label indexes ``clusters``.
+        labels, centers = kmeans(users, self.n_clusters, n_iters=_KMEANS_ITERS, seed=0)
+        # Renumber the non-empty clusters 0..C'-1 so a label indexes a row of the index.
         present, labels = np.unique(labels, return_inverse=True)
         centers = centers[present]
         t1 = time.perf_counter()
-        item_norms = row_norms(model.items)
-        clusters: list[_ClusterList] = []
-        # The per-row form the query tests its users with, so a build user stays inside.
-        user_angles = angles_to(model.users, centers[labels])
-        theta_time = time.perf_counter() - t1
-        sort_time = 0.0
-        for j in range(centers.shape[0]):
-            ts = time.perf_counter()
-            theta_b = float(user_angles[labels == j].max())
-            theta_ic = angles_to(model.items, centers[j])
-            bounds = cbound(theta_ic, item_norms, theta_b)
-            theta_time += time.perf_counter() - ts
-            ts = time.perf_counter()
-            order = np.argsort(-bounds, kind="stable")
-            sort_time += time.perf_counter() - ts
-            clusters.append(
-                _ClusterList(
-                    theta_b=theta_b,
-                    item_order=order,
-                    bounds=bounds[order],
-                )
-            )
-        self.centers = centers
-        self.clusters = clusters
+        item_norms = row_norms(items)
+        # The per-row form the query tests its users with, so a build user stays
+        # inside.  Angles lie in [0, π], so 0 is the identity of this max.
+        theta_b = np.zeros(len(centers))
+        np.maximum.at(theta_b, labels, angles_to(users, centers[labels]))
+        theta_ic = np.stack([angles_to(items, c) for c in centers])
+        bounds = cbound(theta_ic, item_norms, theta_b[:, None])
+        t2 = time.perf_counter()
+        orders = np.argsort(-bounds, axis=1, kind="stable")
+        bounds = np.take_along_axis(bounds, orders, axis=1)
+        t3 = time.perf_counter()
+        self.centers, self.theta_b, self.orders, self.bounds = centers, theta_b, orders, bounds
         self.max_norm = float(item_norms.max(initial=0.0))
-        self.timings = {
-            "cluster": t1 - t0,
-            "bound": theta_time,
-            "sort": sort_time,
-        }
+        self.timings = {"cluster": t1 - t0, "bound": t2 - t1, "sort": t3 - t2}
         self.built = True
 
     # -- querying ----------------------------------------------------------
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
+        self._check(users, k)
         if not self.built:
             self.build()
         k = min(k, self.model.n)
@@ -151,10 +130,9 @@ class RecdexIndex(Strategy):
         out_scores = np.empty((len(users), k))
         labels, _ = assign(users, self.centers)
         # Lemma 5.1 holds only within θ_b of the center: blocked MM answers the rest.
-        theta_b = np.array([cl.theta_b for cl in self.clusters])
-        labels[angles_to(users, self.centers[labels]) > theta_b[labels]] = -1
+        labels[angles_to(users, self.centers[labels]) > self.theta_b[labels]] = -1
         first = self.block if self.shared else self.walk_chunk
-        for j, cl in enumerate(self.clusters):
+        for j in range(len(self.centers)):
             at = np.nonzero(labels == j)[0]
             # The lesion walks each user alone, so nothing is shared.
             for group in [at] if self.shared else at[:, None]:
@@ -163,8 +141,8 @@ class RecdexIndex(Strategy):
                 out_ids[group], out_scores[group], scored = bounded_walk(
                     users[group],
                     self.model.items,
-                    cl.item_order,
-                    cl.bounds,
+                    self.orders[j],
+                    self.bounds[j],
                     k,
                     first=first,
                     chunk=self.walk_chunk,

@@ -33,8 +33,8 @@ def lambda_sweep(
 ) -> pd.DataFrame:
     """Long frame: dataset, λ, test RMSE, and total seconds per strategy.
 
-    Timings are the min over ``repeats`` runs — at sub-100 ms scale a
-    single wall-clock sample is dominated by BLAS thread-pool jitter.
+    Timings are ``time_strategy``'s min over ``repeats`` runs — at sub-100 ms
+    scale a single wall-clock sample is dominated by BLAS thread-pool jitter.
     """
     import numpy as np
 
@@ -47,13 +47,7 @@ def lambda_sweep(
             )
             factories = strategy_factories(model)
             for name in strategies:
-                t = min(
-                    (
-                        time_strategy(factories[name], model, k, name=name)
-                        for _ in range(repeats)
-                    ),
-                    key=lambda x: x.total_seconds,
-                )
+                t = time_strategy(factories[name], model, k, name=name, repeats=repeats)
                 rows.append(
                     {
                         "dataset": ds,

@@ -27,7 +27,7 @@ def end_to_end(
 
     Returns a long DataFrame with columns
     ``model, k, strategy, build_s, query_s, total_s`` — one row per
-    combination (min over ``repeats`` runs, paper-style wall clock).
+    combination (``time_strategy``'s min over ``repeats`` runs, paper-style).
     """
     if models is None:
         models = reference_grid()
@@ -37,15 +37,7 @@ def end_to_end(
         factories = strategy_factories(model)
         for k in ks:
             for name in strategies:
-                best = time_strategy(factories[name], model, k, name=name)
-                # Short runs are thread-pool-jitter dominated: re-measure
-                # and keep the min.  Multi-second runs (FEXIPRO) are left
-                # at one sample — noise is relatively negligible there.
-                if best.total_seconds < 1.0:
-                    for _ in range(repeats - 1):
-                        t = time_strategy(factories[name], model, k, name=name)
-                        if t.total_seconds < best.total_seconds:
-                            best = t
+                best = time_strategy(factories[name], model, k, name=name, repeats=repeats)
                 rows.append(
                     {
                         "model": model.name,

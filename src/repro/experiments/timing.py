@@ -24,18 +24,24 @@ class StrategyTiming:
 
 
 def time_strategy(
-    factory: Callable[[MFModel], Strategy], model: MFModel, k: int, *, name: str | None = None
+    factory: Callable[[MFModel], Strategy], model: MFModel, k: int, *,
+    name: str | None = None, repeats: int = 1,
 ) -> StrategyTiming:
-    """Build + full batch top-K serve, each phase timed separately."""
-    t0 = time.perf_counter()
-    strat = factory(model)
-    strat.build()
-    t1 = time.perf_counter()
-    res = strat.query_vectors(model.users, k)
-    t2 = time.perf_counter()
-    return StrategyTiming(
-        strategy=name or strat.name,
-        build_seconds=t1 - t0,
-        query_seconds=t2 - t1,
-        result=res,
-    )
+    """Build + full batch top-K serve, each phase timed separately.
+
+    A run under 1 s is repeated, ``repeats`` runs in all, and the fastest
+    kept: thread-pool jitter dominates short runs, not multi-second ones.
+    """
+    best = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        strat = factory(model)
+        strat.build()
+        t1 = time.perf_counter()
+        res = strat.query_vectors(model.users, k)
+        t = StrategyTiming(name or strat.name, t1 - t0, time.perf_counter() - t1, res)
+        if best is None or t.total_seconds < best.total_seconds:
+            best = t
+        if best.total_seconds >= 1.0:
+            break
+    return best

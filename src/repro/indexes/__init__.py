@@ -1,7 +1,1 @@
 """MIPS serving strategies: brute force and baseline indexes (LEMP, FEXIPRO)."""
-from repro.indexes.base import Strategy, TopK
-from repro.indexes.brute_force import BlockedMM
-from repro.indexes.lemp import LempIndex
-from repro.indexes.fexipro import FexiproIndex
-
-__all__ = ["BlockedMM", "FexiproIndex", "LempIndex", "Strategy", "TopK"]

@@ -58,6 +58,20 @@ class Strategy(ABC):
         """Exact top-``k`` for ``model.users[user_rows]``."""
         return self.query_vectors(self._users(user_rows), k)
 
+    def _check(self, users: np.ndarray, k: int) -> None:
+        """Raise ``ValueError`` unless ``users`` is a finite ``(q, f)`` matrix and ``k >= 1``.
+
+        Every ``query_vectors`` calls this first: a NaN row would otherwise
+        come back as duplicate ids scored ``-inf``.
+        """
+        f = self.model.f
+        if users.ndim != 2 or users.shape[1] != f:
+            raise ValueError(f"user vectors must be a (q, {f}) matrix, got shape {users.shape}")
+        if not np.isfinite(users).all():
+            raise ValueError("user vectors must be finite (no NaN or inf)")
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+
     def _users(self, user_rows: np.ndarray) -> np.ndarray:
         """``model.users[user_rows]``; raises ``ValueError`` for a row outside ``[0, m)``.
 

@@ -1,16 +1,1 @@
 """Linear-algebra substrate: norms, angles, canonical top-K, blocked GEMM."""
-from repro.linalg.kernels import (
-    angles_to,
-    canonical_topk,
-    row_norms,
-    topk_from_scores,
-)
-from repro.linalg.blocked_mm import blocked_mm_topk
-
-__all__ = [
-    "angles_to",
-    "blocked_mm_topk",
-    "canonical_topk",
-    "row_norms",
-    "topk_from_scores",
-]

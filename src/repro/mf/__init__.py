@@ -1,13 +1,1 @@
 """Matrix-factorization substrate: synthetic ratings, ALS training, models."""
-from repro.mf.models import MFModel, concentration_model
-from repro.mf.als import train_als, rmse
-from repro.mf.data import synthetic_ratings, train_test_split
-
-__all__ = [
-    "MFModel",
-    "concentration_model",
-    "rmse",
-    "synthetic_ratings",
-    "train_als",
-    "train_test_split",
-]

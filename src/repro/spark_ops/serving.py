@@ -54,16 +54,14 @@ def _emit(user_ids: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> pd.DataF
 def _user_block(features: pd.Series, f: int) -> np.ndarray:
     """Stack a batch's ``features`` into an ``(m, f)`` matrix.
 
-    Raises ``ValueError`` for a row whose length is not ``f`` or that holds
-    NaN or inf.  A NaN row would otherwise come back as duplicate ids
-    scored ``-inf``, and a row of the wrong length die in ``matmul``.
+    Raises ``ValueError`` for a row whose length is not ``f``: rows of the
+    wrong lengths could otherwise still fill whole rows of the matrix.
+    ``query_vectors`` rejects a row that is not finite.
     """
-    if any(len(v) != f for v in features):
+    lengths = np.fromiter(map(len, features), np.int64, len(features))
+    if (lengths != f).any():
         raise ValueError(f"features must have length {f}, the model's rank")
-    users = np.stack(features.to_numpy())
-    if not np.isfinite(users).all():
-        raise ValueError("features must be finite (no NaN or inf)")
-    return users
+    return np.concatenate(features.to_numpy()).reshape(-1, f)
 
 
 def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: int) -> DataFrame:

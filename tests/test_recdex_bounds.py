@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kmeans import assign
-from repro.core.recdex import RecdexIndex, cbound
-from repro.linalg.kernels import angles_to
-from repro.mf.models import tiny_model
+from repro.core.kmeans import assign, kmeans
+from repro.core.recdex import _KMEANS_ITERS, DEFAULT_CLUSTERS, RecdexIndex, cbound
+from repro.experiments.grid import reference_grid
+from repro.linalg.kernels import angles_to, row_norms
+from repro.mf.models import MFModel, tiny_model
 
 
 def _vec(f, lo=-5.0, hi=5.0):
@@ -81,28 +82,28 @@ def built_index():
 def test_cluster_lists_sorted_descending(built_index):
     """Property 5.1: each L_c is sorted descending by r*_ci."""
     _, idx = built_index
-    for cl in idx.clusters:
-        assert np.all(np.diff(cl.bounds) <= 1e-12)
+    for bounds in idx.bounds:
+        assert np.all(np.diff(bounds) <= 1e-12)
 
 
 def test_cluster_lists_cover_all_items(built_index):
     model, idx = built_index
-    for cl in idx.clusters:
-        assert sorted(cl.item_order.tolist()) == list(range(model.n))
+    for order in idx.orders:
+        assert sorted(order.tolist()) == list(range(model.n))
 
 
 def _members(model, idx):
     """Each cluster's users, by the nearest-center rule the query applies."""
     labels, _ = assign(model.users, idx.centers)
-    return [np.nonzero(labels == j)[0] for j in range(len(idx.clusters))]
+    return [np.nonzero(labels == j)[0] for j in range(len(idx.centers))]
 
 
 def test_theta_b_covers_all_members(built_index):
     """θ_b must be ≥ every member's angle to the centroid."""
     model, idx = built_index
-    for cl, center, rows in zip(idx.clusters, idx.centers, _members(model, idx)):
+    for theta_b, center, rows in zip(idx.theta_b, idx.centers, _members(model, idx)):
         member_angles = angles_to(model.users[rows], center)
-        assert member_angles.max() <= cl.theta_b + 1e-12
+        assert member_angles.max() <= theta_b + 1e-12
 
 
 def test_clusters_partition_users(built_index):
@@ -116,11 +117,11 @@ def test_clusters_partition_users(built_index):
 def test_bounds_dominate_member_normalized_scores(built_index):
     """End-to-end Lemma 5.1 on a real built index."""
     model, idx = built_index
-    for cl, rows in zip(idx.clusters, _members(model, idx)):
+    for order, bounds, rows in zip(idx.orders, idx.bounds, _members(model, idx)):
         users = model.users[rows]
         norms = np.linalg.norm(users, axis=1, keepdims=True)
-        normalized = (users @ model.items[cl.item_order].T) / np.maximum(norms, 1e-12)
-        assert np.all(normalized <= cl.bounds[None, :] + 1e-9)
+        normalized = (users @ model.items[order].T) / np.maximum(norms, 1e-12)
+        assert np.all(normalized <= bounds[None, :] + 1e-9)
 
 
 def test_items_visited_counter(built_index):
@@ -141,7 +142,59 @@ def test_build_timings_recorded(built_index):
 
 def test_build_idempotent(built_index):
     model, idx = built_index
-    before = [cl.bounds.copy() for cl in idx.clusters]
+    before = [bounds.copy() for bounds in idx.bounds]
     idx.build()
-    for cl, b in zip(idx.clusters, before):
-        np.testing.assert_array_equal(cl.bounds, b)
+    for bounds, b in zip(idx.bounds, before):
+        np.testing.assert_array_equal(bounds, b)
+
+
+# --- the whole-array build against a per-cluster reference ----------------
+
+def _reference_build(model, n_clusters):
+    """Algorithm 1's construction run one cluster at a time.
+
+    Returns ``(centers, theta_b, orders, bounds)`` with one row per
+    non-empty cluster, the layout ``RecdexIndex.build`` stores.
+    """
+    labels, centers = kmeans(model.users, n_clusters, n_iters=_KMEANS_ITERS, seed=0)
+    present, labels = np.unique(labels, return_inverse=True)
+    centers = centers[present]
+    item_norms = row_norms(model.items)
+    user_angles = angles_to(model.users, centers[labels])
+    theta_b, orders, bounds = [], [], []
+    for j, center in enumerate(centers):
+        theta_b.append(float(user_angles[labels == j].max()))
+        b = cbound(angles_to(model.items, center), item_norms, theta_b[-1])
+        orders.append(np.argsort(-b, kind="stable"))
+        bounds.append(b[orders[-1]])
+    return centers, np.array(theta_b), np.array(orders), np.array(bounds)
+
+
+def _duplicate_users_model():
+    """40 users drawn from 4 distinct vectors: 7 clusters leave some empty."""
+    g = np.random.default_rng(3)
+    users = g.integers(-3, 4, size=(4, 5)).astype(np.float64)[g.integers(4, size=40)]
+    return MFModel(name="duplicate-users", users=users, items=g.normal(size=(30, 5)))
+
+
+_REFERENCE_CASES = [
+    pytest.param(model, n_clusters, id=model.name)
+    for model, n_clusters in [
+        (tiny_model(m=80, n=50, f=6, seed=42), 5),
+        (_duplicate_users_model(), 7),
+        *((model, DEFAULT_CLUSTERS) for model in reference_grid(scale=1)),
+    ]
+]
+
+
+@pytest.mark.parametrize("model, n_clusters", _REFERENCE_CASES)
+def test_build_bit_equal_to_per_cluster_reference(model, n_clusters):
+    idx = RecdexIndex(model, n_clusters=n_clusters)
+    idx.build()
+    centers, theta_b, orders, bounds = _reference_build(model, n_clusters)
+    if model.name == "duplicate-users":
+        assert len(centers) < n_clusters  # empty clusters were renumbered away
+    np.testing.assert_array_equal(idx.centers, centers)
+    np.testing.assert_array_equal(idx.theta_b, theta_b)
+    np.testing.assert_array_equal(idx.orders, orders)
+    np.testing.assert_array_equal(idx.bounds, bounds)

@@ -204,16 +204,19 @@ def test_k_below_one_rejected(spark, model, users_df, name, k):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ([np.nan, 0.0, 1.0, 2.0], "finite"),
-        ([np.inf, 0.0, 1.0, 2.0], "finite"),
-        ([1.0, 2.0], "length 4"),
+        ([[np.nan, 0.0, 1.0, 2.0]], "finite"),
+        ([[np.inf, 0.0, 1.0, 2.0]], "finite"),
+        ([[1.0, 2.0]], "length 4"),
+        # Lengths f−1 and f+1 sum to a multiple of f: only a per-row check catches them.
+        ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0]], "length 4"),
     ],
-    ids=["nan", "inf", "short"],
+    ids=["nan", "inf", "short", "short-and-long"],
 )
 def test_mm_rejects_bad_features(spark, model, bad, message):
     """A bad feature row must fail in every strategy, not come back as duplicate ids scored -inf."""
+    rows = [list(model.users[0]), *bad]
     users_df = spark.createDataFrame(
-        pd.DataFrame({"id": [0, 1], "features": [list(model.users[0]), bad]}),
+        pd.DataFrame({"id": range(len(rows)), "features": rows}),
         schema=VECTOR_SCHEMA,
     )
     for name, make in STRATEGIES.items():

@@ -121,6 +121,28 @@ def test_rows_outside_model_rejected(name, where):
         STRATEGIES[name](model).query(np.array([0, bad]), 3)
 
 
+_SHAPE = r"user vectors must be a \(q, 6\) matrix"
+_BAD_QUERIES = {
+    # case: (users from the model's first 5 users, k, the error it must raise)
+    "nan": (lambda u: np.where(np.arange(6) == 2, np.nan, u), 3, "must be finite"),
+    "inf": (lambda u: np.where(np.arange(6) == 2, -np.inf, u), 3, "must be finite"),
+    "rank": (lambda u: u[:, :4], 3, _SHAPE),
+    "1-d": (lambda u: u[0], 3, _SHAPE),
+    "k0": (lambda u: u, 0, "k must be at least 1"),
+    "kneg": (lambda u: u, -2, "k must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("case", list(_BAD_QUERIES))
+def test_bad_query_vectors_rejected(name, case):
+    """Bad vectors or ``k`` raise ``query_vectors``'s own error, not a wrong answer or a kernel's."""
+    model = tiny_model(m=40, n=25, f=6, seed=0)
+    bad, k, message = _BAD_QUERIES[case]
+    with pytest.raises(ValueError, match=message):
+        STRATEGIES[name](model).query_vectors(bad(model.users[:5]), k)
+
+
 # --- strict bitwise equality on integer models ----------------------------
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))

@@ -27,3 +27,17 @@ def test_time_strategy_result_exact():
     t = time_strategy(lambda m: BlockedMM(m), model, 2)
     ref = BlockedMM(model).query_vectors(model.users, 2)
     np.testing.assert_array_equal(t.result.ids, ref.ids)
+
+
+def test_time_strategy_repeats_sub_second_run():
+    """A run under 1 s is repeated: the factory is called ``repeats`` times."""
+    model = tiny_model(m=10, n=8, f=3, seed=3)
+    made = []
+
+    def factory(m):
+        made.append(m)
+        return BlockedMM(m)
+
+    t = time_strategy(factory, model, 2, repeats=4)
+    assert len(made) == 4
+    assert t.result.ids.shape == (10, 2)
