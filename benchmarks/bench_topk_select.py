@@ -1,17 +1,27 @@
-"""Blocked MM's two halves, timed apart: GEMM and top-K selection per block.
+"""Blocked MM's two halves, timed apart: scoring and top-K selection per block.
 
 One blocked-MM block is ``USER_BLOCK`` users against every item.  Each
-(model, K) case times the GEMM and ``topk_from_scores`` on the same block
-as separate benchmark rows, so the selection-to-GEMM ratio can be checked
-without the serving harness.  Models are the reference grid at scale 4
-(netflix-f32-lo: 1 200 items; kdd-f16-hi: 8 000 items), the size the
-serving benchmark runs.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
-to compare with the paper's single-core numbers.
+(model, K) case times what ``blocked_mm_topk`` does with that block:
+
+* ``gemm``: ``block_scorer``'s step, which on the float32 path
+  (``k * _MIN_ITEMS_PER_K <= n``) scales the block by powers of two and
+  runs a float32 GEMM, and otherwise runs the float64 GEMM;
+* ``select``: ``topk_from_scores`` on its output, which on the float32
+  path filters by the proved margin and re-scores the survivors in
+  float64.
+
+``path=rule`` follows the module's rule; ``path=float64`` forces the
+float64 block every case took before the float32 filter, so one run shows
+both.  Models are the reference grid at scale 4 (netflix-f32-lo: 1 200
+items, f = 32; kdd-f16-hi: 8 000 items, f = 16), the size the serving
+benchmark runs.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to
+compare with the paper's single-core numbers.
 """
 import pytest
 
 from repro.experiments.grid import reference_grid
-from repro.linalg.blocked_mm import USER_BLOCK
+from repro.linalg import blocked_mm as mm_module
+from repro.linalg.blocked_mm import USER_BLOCK, block_scorer
 from repro.linalg.kernels import topk_from_scores
 
 MODELS = ("netflix-f32-lo", "kdd-f16-hi")
@@ -24,17 +34,27 @@ def blocks():
     return {name: (grid[name].users[:USER_BLOCK], grid[name].items) for name in MODELS}
 
 
-@pytest.mark.parametrize("name", MODELS)
-def test_bench_block_gemm(benchmark, blocks, name):
+def _scorer(blocks, name, k, path, monkeypatch):
+    if path == "float64":
+        monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 10**9)
     users, items = blocks[name]
-    scores = benchmark.pedantic(lambda: users @ items.T, rounds=10, iterations=1)
-    assert scores.shape == (USER_BLOCK, len(items))
+    return users, block_scorer(items, k)
 
 
+@pytest.mark.parametrize("path", ["rule", "float64"])
 @pytest.mark.parametrize("k", [1, 10, 50])
 @pytest.mark.parametrize("name", MODELS)
-def test_bench_block_select(benchmark, blocks, name, k):
-    users, items = blocks[name]
-    scores = users @ items.T
-    ids, _ = benchmark.pedantic(lambda: topk_from_scores(scores, k), rounds=10, iterations=1)
+def test_bench_block_gemm(benchmark, blocks, name, k, path, monkeypatch):
+    users, score = _scorer(blocks, name, k, path, monkeypatch)
+    scores, _ = benchmark.pedantic(lambda: score(users), rounds=10, iterations=1)
+    assert scores.shape == (USER_BLOCK, len(blocks[name][1]))
+
+
+@pytest.mark.parametrize("path", ["rule", "float64"])
+@pytest.mark.parametrize("k", [1, 10, 50])
+@pytest.mark.parametrize("name", MODELS)
+def test_bench_block_select(benchmark, blocks, name, k, path, monkeypatch):
+    users, score = _scorer(blocks, name, k, path, monkeypatch)
+    scores, rescore = score(users)
+    ids, _ = benchmark.pedantic(lambda: topk_from_scores(scores, k, *rescore), rounds=10, iterations=1)
     assert ids.shape == (USER_BLOCK, k)

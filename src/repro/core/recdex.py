@@ -122,7 +122,7 @@ class RecdexIndex(Strategy):
 
     # -- querying ----------------------------------------------------------
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
-        self._check(users, k)
+        users = self._check(users, k)
         if not self.built:
             self.build()
         k = min(k, self.model.n)

@@ -58,27 +58,33 @@ class Strategy(ABC):
         """Exact top-``k`` for ``model.users[user_rows]``."""
         return self.query_vectors(self._users(user_rows), k)
 
-    def _check(self, users: np.ndarray, k: int) -> None:
-        """Raise ``ValueError`` unless ``users`` is a finite ``(q, f)`` matrix and ``k >= 1``.
+    def _check(self, users, k: int) -> np.ndarray:
+        """``users`` as a float64 array; ``ValueError`` unless it is a finite ``(q, f)`` matrix and ``k >= 1``.
 
-        Every ``query_vectors`` calls this first: a NaN row would otherwise
-        come back as duplicate ids scored ``-inf``.
+        Every ``query_vectors`` calls this first and answers what it returns:
+        a NaN row would otherwise come back as duplicate ids scored ``-inf``,
+        and a list of rows would fail inside a kernel.
         """
         f = self.model.f
+        users = np.asarray(users, dtype=np.float64)
         if users.ndim != 2 or users.shape[1] != f:
             raise ValueError(f"user vectors must be a (q, {f}) matrix, got shape {users.shape}")
         if not np.isfinite(users).all():
             raise ValueError("user vectors must be finite (no NaN or inf)")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
+        return users
 
     def _users(self, user_rows: np.ndarray) -> np.ndarray:
-        """``model.users[user_rows]``; raises ``ValueError`` for a row outside ``[0, m)``.
+        """``model.users[user_rows]``; raises ``ValueError`` unless ``user_rows`` are integers in ``[0, m)``.
 
-        Plain indexing would wrap a negative row to another user's vector.
+        Plain indexing would wrap a negative row to another user's vector and
+        take a boolean array as a mask.
         """
         user_rows = np.asarray(user_rows)
         m = self.model.m
+        if user_rows.size and user_rows.dtype.kind not in "iu":
+            raise ValueError(f"user ids must be integers, got dtype {user_rows.dtype}")
         if user_rows.size and (user_rows.min() < 0 or user_rows.max() >= m):
             raise ValueError(f"user ids must lie in [0, {m})")
-        return self.model.users[user_rows]
+        return self.model.users[user_rows.astype(np.int64, copy=False)]  # [] reads as float

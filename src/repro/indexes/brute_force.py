@@ -19,7 +19,7 @@ class BlockedMM(Strategy):
     batching = True
 
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
-        self._check(users, k)
+        users = self._check(users, k)
         ids, scores = blocked_mm_topk(users, self.model.items, k)
         return TopK(ids=ids, scores=scores)
 

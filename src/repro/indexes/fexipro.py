@@ -147,7 +147,7 @@ class FexiproIndex(Strategy):
         return ids2[0, :kk], sc2[0, :kk]
 
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
-        self._check(users, k)
+        users = self._check(users, k)
         if not self.built:
             self.build()
         k = min(k, self.model.n)

@@ -52,7 +52,7 @@ class LempIndex(Strategy):
         self.built = True
 
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
-        self._check(users, k)
+        users = self._check(users, k)
         if not self.built:
             self.build()
         ids, scores, _ = bounded_walk(

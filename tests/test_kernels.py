@@ -1,11 +1,13 @@
 """Unit tests for repro.linalg.kernels."""
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.linalg.kernels import (
+    _survivors,
     angles_to,
     canonical_topk,
     merge_topk,
@@ -208,3 +210,29 @@ def test_merge_topk_k_larger_than_total():
     sc_b = np.array([[2.0]])
     ids, sc = merge_topk(ids_a, sc_a, ids_b, sc_b, 5)
     np.testing.assert_array_equal(ids, [[1, 0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 7, 64, 130]),
+    k=st.integers(1, 130),
+    ulps=st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e6]),
+)
+def test_survivors_keep_every_entry_within_margin_of_kth(seed, n, k, ulps):
+    """Float32 scores with a float64 margin: no entry at or above ``kth - margin`` (exactly) is dropped.
+
+    Margins of a fraction of a float32 ulp make the float64 subtraction and
+    the cast to float32 round; neither may raise the threshold past an entry.
+    """
+    g = np.random.default_rng(seed)
+    k = min(k, n)
+    scores = (g.integers(-8, 9, size=(5, n)) / 8 + g.normal(size=(5, n)) * 2.0**-22).astype(np.float32)
+    margin = ulps * 2.0**-24 * g.random(5)
+    rows, cols = _survivors(scores, k, margin)
+    kept = set(zip(rows.tolist(), cols.tolist()))
+    for r in range(5):
+        kth = Fraction(float(np.sort(scores[r])[::-1][k - 1]))
+        for c in range(n):
+            if Fraction(float(scores[r, c])) >= kth - Fraction(float(margin[r])):
+                assert (r, c) in kept

@@ -19,6 +19,7 @@ from repro.core.recopt import Recopt
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
+from repro.linalg import blocked_mm as mm_module
 from repro.linalg import bounded_walk as walk_module
 from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.mf.models import MFModel, concentration_model, tiny_model
@@ -119,6 +120,26 @@ def test_rows_outside_model_rejected(name, where):
     bad = -1 if where == "negative" else model.m
     with pytest.raises(ValueError, match="user ids must lie in"):
         STRATEGIES[name](model).query(np.array([0, bad]), 3)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("rows", ["bool-mask", "float"])
+def test_non_integer_rows_rejected(name, rows):
+    """A boolean array is not taken as a mask (40 rows must not answer 2 users), nor a float array as ids."""
+    model = tiny_model(m=40, n=25, f=6, seed=0)
+    bad = np.isin(np.arange(40), [3, 17]) if rows == "bool-mask" else np.array([0.0, 1.5])
+    with pytest.raises(ValueError, match="user ids must be integers"):
+        STRATEGIES[name](model).query(bad, 3)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_query_vectors_accepts_list_of_rows(name):
+    """Rows given as nested lists answer as the same rows given as an array."""
+    model = tiny_model(m=40, n=25, f=6, seed=0)
+    strat = STRATEGIES[name](model)
+    got, want = strat.query_vectors(model.users[:2].tolist(), 3), strat.query_vectors(model.users[:2], 3)
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_array_equal(got.scores, want.scores)
 
 
 _SHAPE = r"user vectors must be a \(q, 6\) matrix"
@@ -245,17 +266,25 @@ def _differential_cases(draw):
     return model, rows, vectors, k
 
 
+# ``_MIN_ITEMS_PER_K`` values that force blocked MM's float32 filter on every
+# block, and keep it off.
+_MM_PATHS = {"float32": 0, "float64": 10**9}
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_differential_cases())
 def test_every_strategy_bit_equal_to_mm(case):
     model, rows, vectors, k = case
-    mm = BlockedMM(model)
-    ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
-    for name, make in STRATEGIES.items():
-        strat = make(model)
-        for got, want in ((strat.query(rows, k), ref), (strat.query_vectors(vectors, k), ref_vectors)):
-            np.testing.assert_array_equal(got.ids, want.ids, err_msg=name)
-            np.testing.assert_array_equal(got.scores, want.scores, err_msg=name)
+    for path, min_items in _MM_PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mm_module, "_MIN_ITEMS_PER_K", min_items)
+            mm = BlockedMM(model)
+            ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
+            for name, make in STRATEGIES.items():
+                strat = make(model)
+                for got, want in ((strat.query(rows, k), ref), (strat.query_vectors(vectors, k), ref_vectors)):
+                    np.testing.assert_array_equal(got.ids, want.ids, err_msg=f"{name}, {path}")
+                    np.testing.assert_array_equal(got.scores, want.scores, err_msg=f"{name}, {path}")
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -291,7 +320,10 @@ def test_recdex_answers_vector_outside_every_cone_by_mm(shared, monkeypatch):
 def test_recopt_bit_equal_to_mm(case, min_sample, seed):
     model, _, _, k = case
     candidates = {name: make for name, make in STRATEGIES.items() if name != "mm"}
-    got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
-    ref = BlockedMM(model).query_vectors(model.users, k)
-    np.testing.assert_array_equal(got.ids, ref.ids)
-    np.testing.assert_array_equal(got.scores, ref.scores)
+    for path, min_items in _MM_PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mm_module, "_MIN_ITEMS_PER_K", min_items)
+            got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
+            ref = BlockedMM(model).query_vectors(model.users, k)
+            np.testing.assert_array_equal(got.ids, ref.ids, err_msg=path)
+            np.testing.assert_array_equal(got.scores, ref.scores, err_msg=path)
