@@ -38,7 +38,7 @@ def _scorer(blocks, name, k, path, monkeypatch):
     if path == "float64":
         monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 10**9)
     users, items = blocks[name]
-    return users, block_scorer(items, k)
+    return users, block_scorer(items, k, len(users))
 
 
 @pytest.mark.parametrize("path", ["rule", "float64"])

@@ -68,8 +68,12 @@ scale-1 calls on 300 and 450 items read 1.14–1.28 at n/K = 30–45,
 ``mipsbench`` workloads (K ∈ {1, 10}, 1 200 to 8 000 items) and K ≤ 75
 on 1 200 items take float32, and Fig. 6's K = 50 cells on 300 and 450
 items take float64.  A call also pays a fixed ``n·f`` conversion of the
-items (0.2–0.5 ms at scale 4), so calls with fewer than about 64 users,
-such as RECDEX's out-of-cone fallback, run slower than float64 would.
+items, so a call with few users runs faster in float64: whole calls on
+scale-4 netflix-f32-lo, r2-f32-lo, kdd-f16-hi and glove-f32-hi (K ∈ {1,
+10}, medians of 41) read float32 at 2–7× float64's time for one user,
+0.9–1.4× for 16, 0.9–1.1× for 32 and 0.6–0.9× for 64.  Calls with fewer
+than ``_MIN_USERS = 32`` users, such as the bounded walk's rest, RECDEX's
+out-of-cone fallback and its per-user lesion, therefore take float64.
 """
 from __future__ import annotations
 
@@ -78,9 +82,11 @@ import numpy as np
 from repro.linalg.kernels import row_norms, topk_from_scores
 
 USER_BLOCK = 1024
-# Blocks use the float32 filter when k * _MIN_ITEMS_PER_K <= n_items
-# (measured crossover, see above) and f <= _MAX_RANK (the margin's proof).
+# Blocks use the float32 filter when k * _MIN_ITEMS_PER_K <= n_items and the
+# call serves at least _MIN_USERS users (measured crossovers, see above), and
+# f <= _MAX_RANK (the margin's proof).
 _MIN_ITEMS_PER_K = 16
+_MIN_USERS = 32
 _MAX_RANK = 2048
 _U32 = 2.0**-24  # float32 unit roundoff
 
@@ -95,15 +101,17 @@ def _unit_scale(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(x, -e if axis is None else -e[:, None]), e
 
 
-def block_scorer(items: np.ndarray, k: int):
+def block_scorer(items: np.ndarray, k: int, m: int):
     """One block's scoring step: ``score(block) -> (scores, rescore)``.
 
-    ``topk_from_scores(scores, k, *rescore)`` then finishes the block: the
-    float32 path passes the float64 factors and each row's margin ``2E``
-    as ``rescore``, the float64 path passes nothing.
+    ``m`` is the number of users the call serves in all.
+    ``topk_from_scores(scores, k, *rescore)`` then
+    finishes the block: the float32 path passes the float64 factors and
+    each row's margin ``2E`` as ``rescore``, the float64 path passes
+    nothing.
     """
     n, f = items.shape
-    if k * _MIN_ITEMS_PER_K > n or f > _MAX_RANK:
+    if k * _MIN_ITEMS_PER_K > n or m < _MIN_USERS or f > _MAX_RANK:
         items_t = items.T
         return lambda block: (block @ items_t, ())
     scaled_items, item_exp = _unit_scale(items)
@@ -133,7 +141,7 @@ def blocked_mm_topk(users: np.ndarray, items: np.ndarray, k: int) -> tuple[np.nd
     k = min(k, n)
     out_ids = np.empty((m, k), dtype=np.int64)
     out_scores = np.empty((m, k), dtype=np.float64)
-    score = block_scorer(items, k)
+    score = block_scorer(items, k, m)
     for start in range(0, m, USER_BLOCK):
         stop = min(start + USER_BLOCK, m)
         scores, rescore = score(users[start:stop])

@@ -16,6 +16,29 @@ computed ``u·i / ‖u‖`` by a few ulps, RECDEX's cone bound, built from
 next bound is ``_ROUNDING_SLACK`` times the largest item norm below its
 kth score; a wider slack only scores a few more items.
 
+**Chunks sized by the bounds, and the rest handed to blocked MM.**  After
+the head, each step first asks, for every user still walking, where its own
+stop test would fire: a ``searchsorted`` of its kth normalized score in
+``bounds + slack``, the very values the stop test compares.  The next chunk
+ends at the (upper) median of those positions, and is at least ``chunk``
+items long.  If that median is the end of the list, half or more of the users
+would score every remaining item, and the still-walking users are answered
+by one ``blocked_mm_topk`` over the whole item matrix instead: that is
+their exact canonical top-K by itself, so nothing is merged, and scoring
+the head again costs less than the walk's per-chunk GEMMs and merges.
+The sizing cannot change an answer: a user still leaves only by the stop
+test, at the start of a chunk; a kth score that rises during a chunk only
+makes that chunk longer than needed, never drops an item from it.  On the
+scale-1 reference grid (16 models × K ∈ {1, 10, 50}, medians of 3 serves,
+one OpenBLAS thread on a 4-vCPU x86 host), fixed 32–256-item chunks summed
+to 8.9 s for RECDEX and 9.2 s for LEMP against 2.3 s for blocked MM; sized
+chunks sum to 2.7–2.8 s and 2.9–3.0 s against 2.0–2.1 s.  A chunk is
+still one float64 GEMM and one merge however long it is, so the cells
+whose first sized chunk spans most of the list lost ground: LEMP on
+kdd-f32-hi at K=10 walks items 125 to 1 538 of 2 000 as one chunk, and
+went from 1.3× to 2.4–2.7× blocked MM.  ``scored`` counts ``n`` pairs for
+each user handed to MM, on top of those it scored before.
+
 After each chunk's GEMM only the rows with some entry ``>=`` their current
 kth score are merged, and a chunk with no such row is not merged at all:
 this is the paper's K-heap rule (push an item only if it beats the heap's
@@ -33,6 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.linalg.kernels import merge_topk, row_norms, topk_with_ids
 
 USER_BLOCK = 4096
@@ -62,6 +86,9 @@ def bounded_walk(
     their canonical top-K is the ``k`` smallest ids, which only the whole
     list reveals.
 
+    ``order`` holds every row of ``items``, since a user handed to blocked
+    MM is scored against all of them.
+
     Returns ``(ids, scores, scored)``: ``(m, min(k, n))`` arrays in
     canonical order, and the number of user·item pairs scored.
     """
@@ -72,12 +99,12 @@ def bounded_walk(
     head_items = items[order[:head]]
     top_ids = np.empty((m, k), dtype=np.int64)
     top_scores = np.empty((m, k))
-    slack = _ROUNDING_SLACK * max_norm
+    reach = bounds + _ROUNDING_SLACK * max_norm
     scored = 0
     for start in range(0, m, USER_BLOCK):
         rows = slice(start, start + USER_BLOCK)
         top_ids[rows], top_scores[rows], block_scored = _walk_block(
-            users[rows], items, order, bounds, k, head_items, chunk, slack
+            users[rows], items, order, reach, k, head_items, chunk
         )
         scored += block_scored
     return top_ids, top_scores, scored
@@ -87,14 +114,18 @@ def _walk_block(
     users: np.ndarray,
     items: np.ndarray,
     order: np.ndarray,
-    bounds: np.ndarray,
+    reach: np.ndarray,
     k: int,
     head_items: np.ndarray,
     chunk: int,
-    slack: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """``bounded_walk`` for one block of users; ``head_items`` are scored by all."""
+    """``bounded_walk`` for one block of users; ``head_items`` are scored by all.
+
+    ``reach`` is ``bounds + slack``: a user walks on while ``reach[pos]``
+    is at least its kth normalized score.
+    """
     n = len(order)
+    neg_reach = -reach  # non-decreasing, as searchsorted needs
     norms = row_norms(users)
     stop = len(head_items)
     top_ids, top_scores = topk_with_ids(order[:stop], users @ head_items.T, k)
@@ -106,10 +137,19 @@ def _walk_block(
             kth = np.where(
                 norms[active] > 0, top_scores[active, -1] / norms[active], -np.inf
             )
-        active = active[bounds[pos] + slack >= kth]
+        walking = reach[pos] >= kth
+        active, kth = active[walking], kth[walking]
         if not active.size:
             break
-        stop = min(pos + chunk, n)
+        # Where each user's own stop test would fire, were its kth not to rise.
+        ends = np.searchsorted(neg_reach, -kth, side="right")
+        end = int(np.partition(ends, ends.size // 2)[ends.size // 2])
+        if end >= n:
+            # Half or more would walk the whole list: blocked MM answers them all.
+            top_ids[active], top_scores[active] = blocked_mm_topk(users[active], items, k)
+            scored += active.size * n
+            break
+        stop = min(max(end, pos + chunk), n)
         ids = order[pos:stop]
         scores = users[active] @ items[ids].T
         scored += active.size * (stop - pos)

@@ -85,6 +85,7 @@ def _near_tie_blocks():
 def test_float32_path_resolves_near_ties_in_float64(case, order, k, monkeypatch):
     """Near-ties below float32's resolution, in both id orders, answer as the float64 top-K."""
     monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 0)
+    monkeypatch.setattr(mm_module, "_MIN_USERS", 0)
     users, items = _near_tie_blocks()[case]
     if order == "reversed":
         items = items[::-1].copy()
@@ -122,6 +123,7 @@ def _magnitude_cases():
 @pytest.mark.parametrize("k", [1, 4, 25])
 def test_float32_path_exact_at_extreme_magnitudes(case, k, monkeypatch):
     monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 0)
+    monkeypatch.setattr(mm_module, "_MIN_USERS", 0)
     users, items = _magnitude_cases()[case]
     ids, sc = blocked_mm_topk(users, items, k)
     want_ids, want_sc = topk_from_scores(users @ items.T, k)
@@ -134,9 +136,20 @@ def test_rule_picks_float32_only_with_enough_items_per_k():
     g = np.random.default_rng(22)
     users, items = g.normal(size=(3, 4)), g.normal(size=(100, 4))
     k_low = 100 // mm_module._MIN_ITEMS_PER_K
-    scores, rescore = mm_module.block_scorer(items, k_low)(users)
+    scores, rescore = mm_module.block_scorer(items, k_low, mm_module.USER_BLOCK)(users)
     assert scores.dtype == np.float32 and len(rescore) == 3
-    scores, rescore = mm_module.block_scorer(items, k_low + 1)(users)
+    scores, rescore = mm_module.block_scorer(items, k_low + 1, mm_module.USER_BLOCK)(users)
+    assert scores.dtype == np.float64 and rescore == ()
+
+
+def test_rule_picks_float32_only_with_enough_users():
+    """A call with fewer than ``_MIN_USERS`` users is scored in float64, whatever its blocks."""
+    g = np.random.default_rng(23)
+    users, items = g.normal(size=(3, 4)), g.normal(size=(100, 4))
+    m = mm_module._MIN_USERS
+    scores, rescore = mm_module.block_scorer(items, 1, m)(users)
+    assert scores.dtype == np.float32 and len(rescore) == 3
+    scores, rescore = mm_module.block_scorer(items, 1, m - 1)(users)
     assert scores.dtype == np.float64 and rescore == ()
 
 
@@ -152,7 +165,7 @@ def test_traced_float32_blocks_keep_one_select_span_each(monkeypatch):
 
     monkeypatch.setattr(mm_module, "USER_BLOCK", 16)
     model, k = tiny_model(m=40, n=200, f=6, seed=0), 3
-    assert k * mm_module._MIN_ITEMS_PER_K <= model.n  # the rule picks float32
+    assert k * mm_module._MIN_ITEMS_PER_K <= model.n and model.m >= mm_module._MIN_USERS  # the rule picks float32
     tracer = Tracer()
     tracer.install()
     try:

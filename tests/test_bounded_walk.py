@@ -1,0 +1,132 @@
+"""The bounded walk's two exits: bounds stop every user, or blocked MM answers the rest.
+
+Every model here has small-integer factors, so each float64 dot product
+is exact whatever the GEMM shape, and the walk must return blocked MM's
+ids and scores bit for bit.
+"""
+import numpy as np
+import pytest
+
+from repro.core.recdex import RecdexIndex
+from repro.indexes.lemp import LempIndex
+from repro.linalg import bounded_walk as walk_module
+from repro.linalg.blocked_mm import blocked_mm_topk
+from repro.linalg.bounded_walk import bounded_walk
+from repro.linalg.kernels import row_norms
+from repro.mf.models import MFModel
+
+
+def _isotropic(seed=0, m=60, n=80, f=12):
+    """Integer entries in [-4, 4]: flat norms, no direction preferred."""
+    g = np.random.default_rng(seed)
+    return MFModel(
+        name="isotropic",
+        users=g.integers(-4, 5, size=(m, f)).astype(np.float64),
+        items=g.integers(-4, 5, size=(n, f)).astype(np.float64),
+    )
+
+
+def _concentrated(seed=0, m=60, n_small=100, f=4):
+    """Users near one ray; a few long items along it, many short ones anywhere.
+
+    Every user scores some long item far above any short item's norm, so
+    a norm-sorted walk stops once the long items are scored.
+    """
+    g = np.random.default_rng(seed)
+    ray = np.array([3.0, 2.0, 1.0, 2.0])[:f]
+    users = ray * g.integers(1, 4, size=(m, 1)) + g.integers(-1, 2, size=(m, f))
+    long_items = ray * np.arange(20, 28)[:, None] + g.integers(-2, 3, size=(8, f))
+    short = g.integers(-1, 2, size=(n_small, f))
+    items = np.vstack([short[: n_small // 2], long_items, short[n_small // 2 :]]).astype(np.float64)
+    return MFModel(name="concentrated", users=users.astype(np.float64), items=items)
+
+
+def _mm_spy(monkeypatch):
+    calls = []
+
+    def spy(users, items, k):
+        calls.append(len(users))
+        return blocked_mm_topk(users, items, k)
+
+    monkeypatch.setattr(walk_module, "blocked_mm_topk", spy)
+    return calls
+
+
+def _norm_walk(model, k, *, first, chunk):
+    norms = row_norms(model.items)
+    order = np.argsort(-norms, kind="stable")
+    return bounded_walk(
+        model.users, model.items, order, norms[order], k, first=first, chunk=chunk, max_norm=norms.max()
+    )
+
+
+def _assert_mm(model, k, ids, scores):
+    want_ids, want_scores = blocked_mm_topk(model.users, model.items, k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(scores, want_scores)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_isotropic_rest_goes_to_mm(k, monkeypatch):
+    """Flat norms prune nothing: the rest goes to one MM call, and scores n pairs per user handed over."""
+    model = _isotropic()
+    calls = _mm_spy(monkeypatch)
+    ids, scores, scored = _norm_walk(model, k, first=8, chunk=4)
+    _assert_mm(model, k, ids, scores)
+    assert len(calls) == 1
+    head = max(8, k)
+    assert scored >= model.m * head + calls[0] * model.n > model.m * head
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_concentrated_bounds_stop_the_walk(k, monkeypatch):
+    """Long items answer every user, so the bounds stop the walk before the short items and MM is never called."""
+    model = _concentrated()
+    calls = _mm_spy(monkeypatch)
+    ids, scores, scored = _norm_walk(model, k, first=4, chunk=2)
+    _assert_mm(model, k, ids, scores)
+    assert calls == []
+    assert scored < model.m * model.n // 4
+
+
+def test_flat_bounds_hand_every_user_to_mm_at_once(monkeypatch):
+    """Every bound equals the largest norm, so no user can stop: all go to MM after the head."""
+    f = 4
+    items = np.vstack([np.eye(f), -np.eye(f)] * 5)
+    users = np.random.default_rng(3).integers(-3, 4, size=(25, f)).astype(np.float64)
+    model = MFModel(name="axes", users=users, items=items)
+    calls = _mm_spy(monkeypatch)
+    ids, scores, scored = _norm_walk(model, 2, first=6, chunk=3)
+    _assert_mm(model, 2, ids, scores)
+    assert calls == [model.m]
+    assert scored == model.m * (6 + model.n)
+
+
+@pytest.mark.parametrize("make", [_isotropic, _concentrated])
+@pytest.mark.parametrize("k", [1, 4])
+def test_lemp_answers_do_not_depend_on_chunk(make, k):
+    model = make(seed=5)
+    for bucket in [1, 3, 16, 500]:
+        got = LempIndex(model, bucket_size=bucket).query_vectors(model.users, k)
+        _assert_mm(model, k, got.ids, got.scores)
+
+
+@pytest.mark.parametrize("make", [_isotropic, _concentrated])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("shared", [True, False])
+def test_recdex_answers_do_not_depend_on_chunk(make, k, shared):
+    model = make(seed=6)
+    for walk_chunk in [1, 3, 16, 500]:
+        idx = RecdexIndex(model, n_clusters=3, block=4, walk_chunk=walk_chunk, shared=shared)
+        got = idx.query_vectors(model.users, k)
+        _assert_mm(model, k, got.ids, got.scores)
+
+
+def test_recdex_items_visited_counts_mm_pairs(monkeypatch):
+    """RECDEX's w̄ numerator includes n pairs for each user its walks hand to MM."""
+    model = _isotropic(seed=2)
+    calls = _mm_spy(monkeypatch)
+    idx = RecdexIndex(model, n_clusters=2, block=4, walk_chunk=2)
+    idx.query_vectors(model.users, 3)
+    assert calls
+    assert idx.items_visited >= model.m * 4 + sum(calls) * model.n

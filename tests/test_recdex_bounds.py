@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import recdex as recdex_module
 from repro.core.kmeans import assign, kmeans
-from repro.core.recdex import _KMEANS_ITERS, DEFAULT_CLUSTERS, RecdexIndex, cbound
+from repro.core.recdex import _KMEANS_ITERS, _KMEANS_SAMPLE, DEFAULT_CLUSTERS, RecdexIndex, cbound
 from repro.experiments.grid import reference_grid
+from repro.indexes.brute_force import BlockedMM
 from repro.linalg.kernels import angles_to, row_norms
 from repro.mf.models import MFModel, tiny_model
 
@@ -153,10 +155,16 @@ def test_build_idempotent(built_index):
 def _reference_build(model, n_clusters):
     """Algorithm 1's construction run one cluster at a time.
 
-    Returns ``(centers, theta_b, orders, bounds)`` with one row per
-    non-empty cluster, the layout ``RecdexIndex.build`` stores.
+    k-means runs on a seed-0 draw of ``_KMEANS_SAMPLE`` users without
+    replacement, in row order, and every user joins its nearest center.  Returns ``(centers, theta_b, orders, bounds)`` with
+    one row per non-empty cluster, the layout ``RecdexIndex.build`` stores.
     """
-    labels, centers = kmeans(model.users, n_clusters, n_iters=_KMEANS_ITERS, seed=0)
+    sample = model.users
+    if model.m > _KMEANS_SAMPLE:
+        rows = np.random.default_rng(0).choice(model.m, _KMEANS_SAMPLE, replace=False)
+        sample = model.users[np.sort(rows)]
+    _, centers = kmeans(sample, n_clusters, n_iters=_KMEANS_ITERS, seed=0)
+    labels, _ = assign(model.users, centers)
     present, labels = np.unique(labels, return_inverse=True)
     centers = centers[present]
     item_norms = row_norms(model.items)
@@ -198,3 +206,80 @@ def test_build_bit_equal_to_per_cluster_reference(model, n_clusters):
     np.testing.assert_array_equal(idx.theta_b, theta_b)
     np.testing.assert_array_equal(idx.orders, orders)
     np.testing.assert_array_equal(idx.bounds, bounds)
+
+
+# --- k-means on a user sample, every user assigned --------------------------
+
+def _int_cones_model(m=150, n=40, f=5, seed=8):
+    """Integer users around three rays, so clusters are tight but not exact."""
+    g = np.random.default_rng(seed)
+    rays = g.integers(-4, 5, size=(3, f))
+    users = rays[g.integers(3, size=m)] * g.integers(1, 3, size=(m, 1)) + g.integers(-1, 2, size=(m, f))
+    items = g.integers(-4, 5, size=(n, f))
+    return MFModel(name="int-cones", users=users.astype(np.float64), items=items.astype(np.float64))
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """A model with more users than a shrunken ``_KMEANS_SAMPLE``, and the rows k-means saw."""
+    model = _int_cones_model()
+    monkeypatch.setattr(recdex_module, "_KMEANS_SAMPLE", 40)
+    seen = []
+
+    def spy(x, k, **kw):
+        seen.append(x)
+        return kmeans(x, k, **kw)
+
+    monkeypatch.setattr(recdex_module, "kmeans", spy)
+    return model, seen
+
+
+def test_sampled_kmeans_sees_only_the_sample(sampled):
+    model, seen = sampled
+    RecdexIndex(model, n_clusters=4).build()
+    (x,) = seen
+    assert len(x) == 40 < model.m
+
+
+def test_sampled_build_keeps_every_user_in_its_cone(sampled, monkeypatch):
+    """θ_b covers every user, sampled or not, so no build user is answered by the out-of-cone fallback."""
+    model, _ = sampled
+    idx = RecdexIndex(model, n_clusters=4, block=4, walk_chunk=2)
+    idx.build()
+    labels, _ = assign(model.users, idx.centers)
+    assert np.all(angles_to(model.users, idx.centers[labels]) <= idx.theta_b[labels])
+    fallback = []
+    monkeypatch.setattr(recdex_module, "blocked_mm_topk", lambda *a: fallback.append(a))
+    idx.query_vectors(model.users, 3)
+    assert fallback == []
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("k", [1, 5])
+def test_sampled_build_answers_bit_equal_to_mm(sampled, shared, k):
+    model, _ = sampled
+    got = RecdexIndex(model, n_clusters=4, block=4, walk_chunk=2, shared=shared).query_vectors(model.users, k)
+    ref = BlockedMM(model).query_vectors(model.users, k)
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_array_equal(got.scores, ref.scores)
+
+
+def test_sampled_builds_identical(sampled):
+    model, _ = sampled
+    a, b = RecdexIndex(model, n_clusters=4), RecdexIndex(model, n_clusters=4)
+    a.build()
+    b.build()
+    for name in ("centers", "theta_b", "orders", "bounds"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_unsampled_build_clusters_as_kmeans_of_all_users():
+    """With ``m <= _KMEANS_SAMPLE``, the clusters are k-means's own over every user."""
+    model = _int_cones_model()
+    assert model.m <= _KMEANS_SAMPLE
+    idx = RecdexIndex(model, n_clusters=4)
+    idx.build()
+    labels, centers = kmeans(model.users, 4, n_iters=_KMEANS_ITERS, seed=0)
+    present, labels = np.unique(labels, return_inverse=True)
+    np.testing.assert_array_equal(idx.centers, centers[present])
+    np.testing.assert_array_equal(assign(model.users, idx.centers)[0], labels)

@@ -266,18 +266,22 @@ def _differential_cases(draw):
     return model, rows, vectors, k
 
 
-# ``_MIN_ITEMS_PER_K`` values that force blocked MM's float32 filter on every
-# block, and keep it off.
-_MM_PATHS = {"float32": 0, "float64": 10**9}
+# ``blocked_mm`` rule constants that force its float32 filter on every
+# block, whatever the call's user count, and that keep it off.
+_MM_PATHS = {
+    "float32": {"_MIN_ITEMS_PER_K": 0, "_MIN_USERS": 0},
+    "float64": {"_MIN_ITEMS_PER_K": 10**9},
+}
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_differential_cases())
 def test_every_strategy_bit_equal_to_mm(case):
     model, rows, vectors, k = case
-    for path, min_items in _MM_PATHS.items():
+    for path, rule in _MM_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mm_module, "_MIN_ITEMS_PER_K", min_items)
+            for const, value in rule.items():
+                mp.setattr(mm_module, const, value)
             mm = BlockedMM(model)
             ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
             for name, make in STRATEGIES.items():
@@ -320,9 +324,10 @@ def test_recdex_answers_vector_outside_every_cone_by_mm(shared, monkeypatch):
 def test_recopt_bit_equal_to_mm(case, min_sample, seed):
     model, _, _, k = case
     candidates = {name: make for name, make in STRATEGIES.items() if name != "mm"}
-    for path, min_items in _MM_PATHS.items():
+    for path, rule in _MM_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mm_module, "_MIN_ITEMS_PER_K", min_items)
+            for const, value in rule.items():
+                mp.setattr(mm_module, const, value)
             got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
             ref = BlockedMM(model).query_vectors(model.users, k)
             np.testing.assert_array_equal(got.ids, ref.ids, err_msg=path)
