@@ -6,9 +6,14 @@ One blocked-MM block is ``USER_BLOCK`` users against every item.  Each
 * ``gemm``: ``block_scorer``'s step, which on the float32 path
   (``k * _MIN_ITEMS_PER_K <= n``) scales the block by powers of two and
   runs a float32 GEMM, and otherwise runs the float64 GEMM;
-* ``select``: ``topk_from_scores`` on its output, which on the float32
-  path filters by the proved margin and re-scores the survivors in
-  float64.
+* ``select``: ``topk_from_scores`` on its output: the kth largest of 128
+  column-group maxima (one ``np.sort``) sets each row's threshold, lowered
+  on the float32 path by the proved margin; the survivors are found by a
+  compare of the whole block, or at K = 1 (few qualifying groups) of the
+  qualifying groups' columns only; float32 survivors are re-scored in
+  float64, and one stable argsort orders them canonically.  K ∈ {1, 10,
+  50} therefore times both survivor scans: K = 1 the gathered one, K = 10
+  and 50 the full compare.
 
 ``path=rule`` follows the module's rule; ``path=float64`` forces the
 float64 block every case took before the float32 filter, so one run shows

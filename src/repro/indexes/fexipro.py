@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.kernels import canonical_topk, row_norms
+from repro.linalg.kernels import row_norms
 from repro.mf.models import MFModel
 
 _QUANT_MAX = 127.0  # int8-style range, as in the paper
@@ -141,10 +141,11 @@ class FexiproIndex(Strategy):
             all_pos = np.arange(kk)
             all_scores = seed_scores
         ids = self.order[all_pos]
-        # Tie-safe selection: canonical order (score desc, id asc), then
-        # keep the first kk.  Candidate sets are small, full sort is fine.
-        ids2, sc2 = canonical_topk(ids[None, :], all_scores[None, :])
-        return ids2[0, :kk], sc2[0, :kk]
+        # Canonical order (score desc, id asc), then the first kk.  Candidate
+        # sets are small, and on them one lexsort costs less than an id sort
+        # followed by a stable score sort.
+        top = np.lexsort((ids, -all_scores))[:kk]
+        return ids[top], all_scores[top]
 
     def query_vectors(self, users: np.ndarray, k: int) -> TopK:
         users = self._check(users, k)

@@ -3,9 +3,11 @@
 The paper uses Intel MKL GEMM over user batches plus a C++ priority queue
 for top-K extraction.  Here each block of ``USER_BLOCK`` users is scored
 by NumPy's BLAS ``@`` and reduced by ``topk_from_scores``'s threshold
-filter: a few vectorized O(n) passes per user (group maxima, a compare,
-one ``nonzero``) leave about K survivors per row, and only those are
-sorted.  Blocking over users bounds the dense score matrix to
+filter: one vectorized O(n) pass per user takes the maxima of 128 column
+groups, a sort of those maxima gives each row's threshold, and a compare
+with one ``nonzero`` (over the whole block, or at small K over the
+qualifying groups' columns only) leaves about K survivors per row.  Their
+columns ascend, so one stable argsort puts them in canonical order.  Blocking over users bounds the dense score matrix to
 ``USER_BLOCK × n_items`` entries, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.
 

@@ -39,11 +39,18 @@ kdd-f32-hi at K=10 walks items 125 to 1 538 of 2 000 as one chunk, and
 went from 1.3× to 2.4–2.7× blocked MM.  ``scored`` counts ``n`` pairs for
 each user handed to MM, on top of those it scored before.
 
-After each chunk's GEMM only the rows with some entry ``>=`` their current
-kth score are merged, and a chunk with no such row is not merged at all:
-this is the paper's K-heap rule (push an item only if it beats the heap's
-minimum).  An entry below the kth score can never enter the top-K, so the
-answer is unchanged; ``>=`` keeps the ties the id tie-break may still need.
+**Canonical selection without a lexsort.**  Every user of a block scores
+every head item, so the head is scored in ascending id order (one
+``np.sort`` of its ids per walk): its survivors' ids then ascend, and one
+stable argsort of their scores is the canonical order.  After each chunk's
+GEMM only the rows with some entry ``>=`` their current kth score are
+merged, and in those rows only such entries join the merge
+(``merge_topk``): this is the paper's K-heap rule (push an item only if it
+beats the heap's minimum), applied per entry.  An entry below the kth
+score can never enter the top-K, so the answer is unchanged; ``>=`` keeps
+the ties the id tie-break may still need.  A long chunk therefore adds
+only its few qualifying entries to the merge, not an ``(a, k + chunk)``
+array.
 
 Users are walked in blocks of ``USER_BLOCK``, so the walk's working
 arrays have a fixed size however many users it serves.  Unblocked, a
@@ -96,7 +103,10 @@ def bounded_walk(
     k = min(k, n)
     # At least k items before any stop test, so every kth score is a real one.
     head = min(max(first, k), n)
-    head_items = items[order[:head]]
+    # Every user of a block scores every head item, so the head is scored in
+    # ascending id order: its selection then needs no id sort.
+    head_ids = np.sort(order[:head])
+    head_items = items[head_ids]
     top_ids = np.empty((m, k), dtype=np.int64)
     top_scores = np.empty((m, k))
     reach = bounds + _ROUNDING_SLACK * max_norm
@@ -104,7 +114,7 @@ def bounded_walk(
     for start in range(0, m, USER_BLOCK):
         rows = slice(start, start + USER_BLOCK)
         top_ids[rows], top_scores[rows], block_scored = _walk_block(
-            users[rows], items, order, reach, k, head_items, chunk
+            users[rows], items, order, reach, k, head_ids, head_items, chunk
         )
         scored += block_scored
     return top_ids, top_scores, scored
@@ -116,10 +126,11 @@ def _walk_block(
     order: np.ndarray,
     reach: np.ndarray,
     k: int,
+    head_ids: np.ndarray,
     head_items: np.ndarray,
     chunk: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """``bounded_walk`` for one block of users; ``head_items`` are scored by all.
+    """``bounded_walk`` for one block of users; ``head_items`` (ids ``head_ids``) are scored by all.
 
     ``reach`` is ``bounds + slack``: a user walks on while ``reach[pos]``
     is at least its kth normalized score.
@@ -128,7 +139,7 @@ def _walk_block(
     neg_reach = -reach  # non-decreasing, as searchsorted needs
     norms = row_norms(users)
     stop = len(head_items)
-    top_ids, top_scores = topk_with_ids(order[:stop], users @ head_items.T, k)
+    top_ids, top_scores = topk_with_ids(head_ids, users @ head_items.T, k)
     scored = len(users) * stop
     active = np.arange(len(users))
     pos = stop
@@ -143,7 +154,7 @@ def _walk_block(
             break
         # Where each user's own stop test would fire, were its kth not to rise.
         ends = np.searchsorted(neg_reach, -kth, side="right")
-        end = int(np.partition(ends, ends.size // 2)[ends.size // 2])
+        end = int(np.sort(ends)[ends.size // 2])
         if end >= n:
             # Half or more would walk the whole list: blocked MM answers them all.
             top_ids[active], top_scores[active] = blocked_mm_topk(users[active], items, k)
@@ -159,7 +170,5 @@ def _walk_block(
         if not hit.any():
             continue
         rows, scores = active[hit], scores[hit]
-        top_ids[rows], top_scores[rows] = merge_topk(
-            top_ids[rows], top_scores[rows], np.broadcast_to(ids, scores.shape), scores, k
-        )
+        top_ids[rows], top_scores[rows] = merge_topk(top_ids[rows], top_scores[rows], ids, scores, k)
     return top_ids, top_scores, scored

@@ -12,7 +12,7 @@ from repro.indexes.lemp import LempIndex
 from repro.linalg import bounded_walk as walk_module
 from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.linalg.bounded_walk import bounded_walk
-from repro.linalg.kernels import row_norms
+from repro.linalg.kernels import row_norms, topk_with_ids
 from repro.mf.models import MFModel
 
 
@@ -130,3 +130,48 @@ def test_recdex_items_visited_counts_mm_pairs(monkeypatch):
     idx.query_vectors(model.users, 3)
     assert calls
     assert idx.items_visited >= model.m * 4 + sum(calls) * model.n
+
+
+def _straddling_ties(seed=0):
+    """Users on the ray e₀; three items tie at 2·‖u‖ with norms that fall as their ids fall.
+
+    Walked by norm, items 7, 5, 2 come in descending id order, so a head of
+    two holds 7 and 5 and scores them in the order 5, 7; item 2 ties both
+    and arrives in a later chunk, where the merge must rank it first.
+    Forty short items (norm ≤ √3, score ≤ ‖u‖) follow, so the bounds stop
+    the walk once item 2 is scored.
+    """
+    g = np.random.default_rng(seed)
+    items = g.integers(-1, 2, size=(43, 3)).astype(np.float64)
+    items[7], items[5], items[2] = [2.0, 2.0, 0.0], [2.0, 1.0, 0.0], [2.0, 0.0, 0.0]
+    users = np.arange(1, 13)[:, None] * np.array([[1.0, 0.0, 0.0]])
+    return MFModel(name="straddling-ties", users=users, items=items)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("bucket", [1, 2, 3])
+def test_lemp_ties_straddling_head_and_chunk_match_mm(k, bucket, monkeypatch):
+    """Bit-equal to MM, without MM's help: the head's and the merges' id tie-breaks decide."""
+    model = _straddling_ties()
+    calls = _mm_spy(monkeypatch)
+    heads = []
+
+    def head_spy(ids, scores, k):
+        heads.append(ids.copy())
+        return topk_with_ids(ids, scores, k)
+
+    monkeypatch.setattr(walk_module, "topk_with_ids", head_spy)
+    got = LempIndex(model, bucket_size=bucket).query_vectors(model.users, k)
+    _assert_mm(model, k, got.ids, got.scores)
+    np.testing.assert_array_equal(got.ids[:, 0], 2)
+    assert calls == []
+    assert len(heads) == 1 and np.all(np.diff(heads[0]) > 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("shared", [True, False])
+def test_recdex_ties_straddling_head_and_chunk_match_mm(k, block, shared):
+    model = _straddling_ties()
+    got = RecdexIndex(model, n_clusters=2, block=block, walk_chunk=1, shared=shared).query_vectors(model.users, k)
+    _assert_mm(model, k, got.ids, got.scores)

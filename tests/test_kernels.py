@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.linalg import kernels as kernels_module
 from repro.linalg.kernels import (
     _survivors,
     angles_to,
-    canonical_topk,
     merge_topk,
     row_norms,
     topk_from_scores,
@@ -77,29 +77,6 @@ def test_angles_to_per_row_centers():
     assert angles_to(v, c)[3] == 0.0 and angles_to(v, c)[7] == 0.0
 
 
-def test_canonical_topk_orders_by_score_desc():
-    ids = np.array([[3, 1, 2]])
-    scores = np.array([[1.0, 3.0, 2.0]])
-    i2, s2 = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[1, 2, 3]])
-    np.testing.assert_array_equal(s2, [[3.0, 2.0, 1.0]])
-
-
-def test_canonical_topk_tie_breaks_by_id_asc():
-    ids = np.array([[9, 4, 7]])
-    scores = np.array([[5.0, 5.0, 5.0]])
-    i2, _ = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[4, 7, 9]])
-
-
-def test_canonical_topk_multi_row_independent():
-    ids = np.array([[0, 1], [1, 0]])
-    scores = np.array([[1.0, 2.0], [1.0, 2.0]])
-    i2, s2 = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[1, 0], [0, 1]])
-    np.testing.assert_array_equal(s2, [[2.0, 1.0], [2.0, 1.0]])
-
-
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
 def test_topk_from_scores_matches_argsort(k):
     g = np.random.default_rng(k)
@@ -120,9 +97,13 @@ def _reference_topk(ids2d, scores, k):
 
 @st.composite
 def _selection_cases(draw):
-    """(ids, scores, k): heavy ties, -inf entries, all-equal rows, n around 64, k ∈ {1, n−1, n, n+5}."""
+    """(ids, scores, k): heavy ties, -inf entries, all-equal rows, n around 64, 128 and 256.
+
+    ``k`` ∈ {1, n−1, n, n+5}, or around half the threshold group count
+    ``min(n, 128)``, where ``g = max(2k, 128)`` starts to grow with ``k``.
+    """
     m = draw(st.integers(1, 6))
-    n = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 100, 128, 130, 200]))
+    n = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 100, 127, 128, 129, 130, 200, 256, 257]))
     seed = draw(st.integers(0, 2**32 - 1))
     g = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["int", "neginf", "equal", "gauss"]))
@@ -141,7 +122,8 @@ def _selection_cases(draw):
         ids = g.permutation(n) * 3 + 7
     else:
         ids = np.argsort(g.random((m, n)), axis=1)
-    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
+    half = min(n, 128) // 2
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5, max(1, half - 1), max(1, half), half + 1]))
     return ids, scores, k
 
 
@@ -212,10 +194,17 @@ def test_merge_topk_k_larger_than_total():
     np.testing.assert_array_equal(ids, [[1, 0]])
 
 
+def _survivors_by(scan: str, scores, k, margin=None):
+    """``_survivors`` with its scan forced: ``"full"`` compares the whole block, ``"gather"`` only the qualifying groups."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels_module, "_GATHER_SHARE", 0.0 if scan == "full" else np.inf)
+        return _survivors(scores, k, margin)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 7, 64, 130]),
+    n=st.sampled_from([1, 7, 64, 130, 257]),
     k=st.integers(1, 130),
     ulps=st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e6]),
 )
@@ -223,16 +212,44 @@ def test_survivors_keep_every_entry_within_margin_of_kth(seed, n, k, ulps):
     """Float32 scores with a float64 margin: no entry at or above ``kth - margin`` (exactly) is dropped.
 
     Margins of a fraction of a float32 ulp make the float64 subtraction and
-    the cast to float32 round; neither may raise the threshold past an entry.
+    the cast to float32 round; neither may raise the threshold past an
+    entry.  Both scans are checked.
     """
     g = np.random.default_rng(seed)
     k = min(k, n)
     scores = (g.integers(-8, 9, size=(5, n)) / 8 + g.normal(size=(5, n)) * 2.0**-22).astype(np.float32)
     margin = ulps * 2.0**-24 * g.random(5)
-    rows, cols = _survivors(scores, k, margin)
-    kept = set(zip(rows.tolist(), cols.tolist()))
-    for r in range(5):
-        kth = Fraction(float(np.sort(scores[r])[::-1][k - 1]))
-        for c in range(n):
-            if Fraction(float(scores[r, c])) >= kth - Fraction(float(margin[r])):
-                assert (r, c) in kept
+    for scan in ("full", "gather"):
+        rows, cols = _survivors_by(scan, scores, k, margin)
+        kept = set(zip(rows.tolist(), cols.tolist()))
+        for r in range(5):
+            kth = Fraction(float(np.sort(scores[r])[::-1][k - 1]))
+            for c in range(n):
+                if Fraction(float(scores[r, c])) >= kth - Fraction(float(margin[r])):
+                    assert (r, c) in kept, scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    n=st.sampled_from([1, 5, 127, 128, 129, 200, 256, 257, 300]),
+    k=st.sampled_from([1, 2, 5, 10, 63, 64, 65, 300]),
+    kind=st.sampled_from(["margin", "tied", "neginf"]),
+)
+def test_survivor_scans_agree(seed, m, n, k, kind):
+    """The gathered and the full scan return the same (rows, cols), in the same order."""
+    g = np.random.default_rng(seed)
+    k = min(k, n)
+    margin = None
+    if kind == "margin":
+        scores = (g.integers(-8, 9, size=(m, n)) / 8 + g.normal(size=(m, n)) * 2.0**-22).astype(np.float32)
+        margin = g.choice([0.0, 2.0**-25, 2.0**-23, 0.2], size=m) * g.random(m)
+    else:
+        scores = g.integers(-2, 3, size=(m, n)).astype(np.float64)
+        if kind == "neginf":
+            scores[scores < 1] = -np.inf
+    full_rows, full_cols = _survivors_by("full", scores, k, margin)
+    rows, cols = _survivors_by("gather", scores, k, margin)
+    np.testing.assert_array_equal(rows, full_rows)
+    np.testing.assert_array_equal(cols, full_cols)

@@ -1,7 +1,7 @@
 """Property tests for the RECDEX bound (Lemma 5.1) and index structure."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import recdex as recdex_module
 from repro.core.kmeans import assign, kmeans
@@ -21,6 +21,8 @@ def _vec(f, lo=-5.0, hi=5.0):
 
 @settings(max_examples=150, deadline=None)
 @given(u=_vec(4), c=_vec(4), i=_vec(4))
+# θ(u, c) is 4e-8 rad: arccos of its rounded cosine read it 1 % off, below the bound's exact value.
+@example(u=np.array([0.0, 3.0, 0.0, 1.192092896e-07]), c=np.array([0.0, 1.0, 0.0, 0.0]), i=np.array([0.0, 0.0, 0.0, 4.0]))
 def test_cbound_upper_bounds_normalized_rating(u, c, i):
     """Lemma 5.1: r*_ci ≥ (u·i)/‖u‖ whenever θ(u,c) ≤ θ_b."""
     if np.linalg.norm(u) < 1e-6 or np.linalg.norm(c) < 1e-6 or np.linalg.norm(i) < 1e-6:

@@ -21,6 +21,7 @@ from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
 from repro.linalg import blocked_mm as mm_module
 from repro.linalg import bounded_walk as walk_module
+from repro.linalg import kernels as kernels_module
 from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.mf.models import MFModel, concentration_model, tiny_model
 from tests.validate import assert_valid_topk
@@ -267,11 +268,18 @@ def _differential_cases(draw):
 
 
 # ``blocked_mm`` rule constants that force its float32 filter on every
-# block, whatever the call's user count, and that keep it off.
-_MM_PATHS = {
-    "float32": {"_MIN_ITEMS_PER_K": 0, "_MIN_USERS": 0},
-    "float64": {"_MIN_ITEMS_PER_K": 10**9},
+# block, whatever the call's user count, and that keep it off; crossed with
+# the ``kernels`` constant that forces every selection's survivor scan to
+# compare the whole block, or only the qualifying groups' columns.
+_PRECISIONS = {
+    "float32": {(mm_module, "_MIN_ITEMS_PER_K"): 0, (mm_module, "_MIN_USERS"): 0},
+    "float64": {(mm_module, "_MIN_ITEMS_PER_K"): 10**9},
 }
+_SCANS = {
+    "full scan": {(kernels_module, "_GATHER_SHARE"): 0.0},
+    "gather scan": {(kernels_module, "_GATHER_SHARE"): np.inf},
+}
+_MM_PATHS = {f"{p}, {s}": {**_PRECISIONS[p], **_SCANS[s]} for p in _PRECISIONS for s in _SCANS}
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,8 +288,8 @@ def test_every_strategy_bit_equal_to_mm(case):
     model, rows, vectors, k = case
     for path, rule in _MM_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
-            for const, value in rule.items():
-                mp.setattr(mm_module, const, value)
+            for (owner, const), value in rule.items():
+                mp.setattr(owner, const, value)
             mm = BlockedMM(model)
             ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
             for name, make in STRATEGIES.items():
@@ -326,8 +334,8 @@ def test_recopt_bit_equal_to_mm(case, min_sample, seed):
     candidates = {name: make for name, make in STRATEGIES.items() if name != "mm"}
     for path, rule in _MM_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
-            for const, value in rule.items():
-                mp.setattr(mm_module, const, value)
+            for (owner, const), value in rule.items():
+                mp.setattr(owner, const, value)
             got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
             ref = BlockedMM(model).query_vectors(model.users, k)
             np.testing.assert_array_equal(got.ids, ref.ids, err_msg=path)
