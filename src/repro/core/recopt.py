@@ -173,7 +173,9 @@ class Recopt:
         out_scores = np.empty(out_ids.shape)
         out_ids[covered] = sampled.ids
         out_scores[covered] = sampled.scores
-        remaining = np.setdiff1d(np.arange(m), covered)
+        rest_mask = np.ones(m, dtype=bool)
+        rest_mask[covered] = False
+        remaining = np.flatnonzero(rest_mask)
         if len(remaining):
             rest = winner.query(remaining, self.k)
             out_ids[remaining] = rest.ids

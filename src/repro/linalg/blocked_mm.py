@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.kernels import row_norms, topk_from_scores
+from repro.linalg.kernels import item_major, row_norms, topk_from_scores
 
 USER_BLOCK = 1024
 # Blocks use the float32 filter when k * _MIN_ITEMS_PER_K <= n_items and the
@@ -106,19 +106,27 @@ def _unit_scale(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
 def block_scorer(items: np.ndarray, k: int, m: int):
     """One block's scoring step: ``score(block) -> (scores, rescore)``.
 
-    ``m`` is the number of users the call serves in all.
+    ``m`` is the number of users the call serves in all, and no block has
+    more than ``min(m, USER_BLOCK)`` rows.
     ``topk_from_scores(scores, k, *rescore)`` then
     finishes the block: the float32 path passes the float64 factors and
     each row's margin ``2E`` as ``rescore``, the float64 path passes
-    nothing.
+    nothing.  When ``item_major(k, n)`` holds, ``scores`` is the transpose
+    of an item-major ``(n, rows)`` product; on the float32 path that
+    product lives in one buffer reused by every block, so each block's
+    scores must be consumed before the next block is scored.
     """
     n, f = items.shape
+    by_item = item_major(k, n)
     if k * _MIN_ITEMS_PER_K > n or m < _MIN_USERS or f > _MAX_RANK:
+        if by_item:
+            return lambda block: ((items @ block.T).T, ())
         items_t = items.T
         return lambda block: (block @ items_t, ())
     scaled_items, item_exp = _unit_scale(items)
-    items32_t = scaled_items.astype(np.float32).T
+    items32 = scaled_items.astype(np.float32)
     item_norm = row_norms(scaled_items).max(initial=0.0)
+    buf = np.empty(n * min(m, USER_BLOCK) if by_item else 0, dtype=np.float32)
 
     def score(block):
         scaled, exp = _unit_scale(block, axis=1)
@@ -127,7 +135,12 @@ def block_scorer(items: np.ndarray, k: int, m: int):
             + f * 2.0**-140
             + np.ldexp(float(f), np.minimum(-1073 - exp - item_exp, 64))
         )
-        return scaled.astype(np.float32) @ items32_t, (block, items, 2 * margin)
+        block32 = scaled.astype(np.float32)
+        if by_item:
+            scores = np.matmul(items32, block32.T, out=buf[: n * len(block)].reshape(n, len(block))).T
+        else:
+            scores = block32 @ items32.T
+        return scores, (block, items, 2 * margin)
 
     return score
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.blocked_mm import blocked_mm_topk
-from repro.linalg.kernels import merge_topk, row_norms, topk_with_ids
+from repro.linalg.kernels import item_major, merge_topk, row_norms, topk_with_ids
 
 USER_BLOCK = 4096
 _ROUNDING_SLACK = 1e-6
@@ -139,7 +139,11 @@ def _walk_block(
     neg_reach = -reach  # non-decreasing, as searchsorted needs
     norms = row_norms(users)
     stop = len(head_items)
-    top_ids, top_scores = topk_with_ids(head_ids, users @ head_items.T, k)
+    if item_major(k, stop):
+        head_scores = (head_items @ users.T).T
+    else:
+        head_scores = users @ head_items.T
+    top_ids, top_scores = topk_with_ids(head_ids, head_scores, k)
     scored = len(users) * stop
     active = np.arange(len(users))
     pos = stop

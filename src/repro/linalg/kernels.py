@@ -21,27 +21,42 @@ order, first sort their candidates by one integer key ``row·span + id``
 
 *The threshold.*  Each row's columns fall into ``g = min(n, max(2k,
 128))`` groups, and the kth largest group maximum bounds the row's kth
-score from below.  It is read off one ``np.sort`` of the ``(m, g)``
-maxima, which NumPy 1.26 vectorizes and ``np.partition`` does not: on
-1024 float32 rows at K = 10 (one thread, 4-vCPU x86 host), a partition
-took 0.80 ms on 64 maxima and 1.6 ms on 128, a sort 0.15 and 0.27 ms,
-and 0.63 ms on 200.  On a 1024 × 1 200 float32 block, 128 groups cut the
-group-max pass from 0.62 ms (64 groups) to 0.44 ms.
+score from below.  At K = 1 that is the largest group maximum, one
+``max``; otherwise it is read off one ``np.sort`` of a C-contiguous copy
+of the ``(m, g)`` maxima, which NumPy 1.26 vectorizes and
+``np.partition`` does not: on 1024 float32 rows at K = 10 (one thread,
+4-vCPU x86 host), a partition took 0.80 ms on 64 maxima and 1.6 ms on
+128, a sort 0.15 and 0.27 ms, and 0.63 ms on 200.  Sorting the
+transposed maxima of an item-major block in place of the copy took 0.78
+against 0.31 ms.
 
-*The scan rule.*  An entry at or above the threshold lies in a group whose
-maximum is at or above it, or in one of the ``n mod g`` ungrouped
-columns.  When at most ``_GATHER_SHARE`` of a block's (row, group) pairs
-qualify (about ``k / g``), ``_survivors`` compares only those groups'
-columns and the ungrouped ones, and sorts the survivors by ``row·n +
-col``: the same set, in the same row-major order, as a compare of the
-whole block.  A gathered float32 entry costs about a cache line, where
-the full compare streams 16 entries per line.  Survivor scans on 1024-row
-float32 blocks of the scale-4 reference grid (medians of 33), full
-compare → gather: K = 1 1.6 → 1.0 ms (netflix-f32-lo, 1 200 items),
-3.2 → 1.9 ms (r2-f32-lo) and 15.6 → 8.8 ms (kdd-f16-hi, 8 000 items);
-K = 5 1.9 → 1.5, 2.8 → 2.3 and 14.8 → 10.6 ms; K = 10 (share 0.08,
-the full compare) within 10 % on the two lo models; K = 20 2.7 → 3.6,
-4.1 → 4.7 and 15.0 → 14.6 ms; K = 50 5.4 → 8.5 ms on netflix-f32-lo.
+*The layout picks the scan.*  An entry at or above the threshold lies in
+a group whose maximum is at or above it, or in one of the ``n mod g``
+ungrouped columns.  ``_survivors`` reads the block's memory order:
+
+* a user-major block (C order, ``users @ items.T``) is compared whole,
+  one streaming pass with one ``nonzero``;
+* an item-major block (``(items @ users.T).T``, whose transpose is
+  C-contiguous) has its group maxima taken over ``n // g`` contiguous
+  ``(g, m)`` slabs, and then only the qualifying groups' columns and the
+  ungrouped ones are compared; the survivors are sorted by ``row·n +
+  col``, so they are the same set, in the same row-major order, as a
+  compare of the whole block.
+
+On a 1024 × 1 200 float32 block the slab maxima took 0.26 ms against 0.58
+ms for the user-major middle-axis reduce.  A gathered entry costs about a
+cache line, where the full compare streams 16 float32 entries per line,
+so the gather pays only while few (row, group) pairs qualify, about ``k /
+g``.  Callers therefore score item-major exactly when ``item_major(k,
+n)`` holds, ``k <= _GATHER_SHARE · g`` (K ≤ 8 at ``g = 128``), and
+user-major otherwise.  ``topk_from_scores`` on 1024-row float32 blocks of
+the scale-4 reference grid (medians of 33), user-major → item-major:
+K = 1 1.57 → 0.71 ms (netflix-f32-lo, 1 200 items), 2.09 → 0.85 ms
+(r2-f32-lo, 1 800), 14.5 → 4.3 ms (kdd-f16-hi, 8 000) and, at medians of
+15, 50 → 21 ms (glove-f32-hi, 32 000); K = 5 0.51–0.90×; K = 8 0.73–1.01×
+on the first three and 1.04–1.14× on glove-f32-hi; K = 9 and 10
+0.76–1.01× on the first three and 1.19–1.32× on glove-f32-hi; K = 20
+0.90–1.28× and 2.2× on glove-f32-hi; K = 50 1.23–2.33×.
 """
 from __future__ import annotations
 
@@ -49,8 +64,8 @@ import numpy as np
 
 # Column groups whose maxima set ``_survivors``'s threshold.
 _THRESHOLD_GROUPS = 128
-# ``_survivors`` compares only the qualifying groups' columns when at most
-# this share of a block's (row, group) pairs qualify.
+# Blocks are scored item-major, and ``_survivors`` then compares only the
+# qualifying groups' columns, when k is at most this share of the group count.
 _GATHER_SHARE = 1 / 16
 # ``angles_to`` recomputes the angle of rows whose |cosine| exceeds this
 # (within 0.014 rad of 0 or π), where arccos is ill-conditioned.
@@ -59,6 +74,22 @@ _NEAR_PARALLEL = 0.9999
 # gathered rows in cache (K = 50 on a 1024 × 1 200 block, f = 32: 4.6 ms,
 # against 21 ms gathering every survivor at once).
 _RESCORE_CHUNK = 2048
+
+
+def _groups(k: int, n: int) -> int:
+    """Column groups whose maxima set ``_survivors``'s threshold for top-``k`` of ``n``."""
+    return min(n, max(2 * k, _THRESHOLD_GROUPS))
+
+
+def item_major(k: int, n: int) -> bool:
+    """Whether a top-``k`` selection over ``n`` columns is handed an item-major block.
+
+    True when ``k <= _GATHER_SHARE · g``; callers then score the block as
+    ``(items @ users.T).T``, and ``_survivors`` gathers its qualifying
+    groups (see the module docstring).
+    """
+    k = min(k, n)
+    return k <= _GATHER_SHARE * _groups(k, n)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -110,29 +141,41 @@ def _survivors(scores: np.ndarray, k: int, margin: np.ndarray | None = None) -> 
     least ``k`` entries survive.  A per-row ``margin`` lowers ``T`` to
     ``T - margin``, computed in float64 and cast to ``scores.dtype``; both
     roundings are monotone and every entry is representable in both types,
-    so no entry at or above the exact ``T - margin`` is lost.  An entry at
-    or above the threshold lies in a group whose maximum is, or among the
-    ungrouped columns, so when few (row, group) pairs qualify only their
-    columns are compared (see the module docstring).  ``1 <= k <= n``.
+    so no entry at or above the exact ``T - margin`` is lost.
+
+    The block's memory order picks the scan (see the module docstring).  A
+    row-major block is compared whole.  An item-major one (``scores.T``
+    C-contiguous, as ``item_major`` asks callers to score it) has only the
+    columns of each row's qualifying groups compared, and its ``n mod g``
+    ungrouped ones: an entry at or above ``T`` lies in a group whose
+    maximum is, or among those.  ``1 <= k <= n``.
     """
     m, n = scores.shape
-    g = min(n, max(2 * k, _THRESHOLD_GROUPS))
+    g = _groups(k, n)
     s = n // g
     full = s * g  # the last n mod g columns join no group
-    groups = scores[:, :full].reshape(m, s, g)
-    group_max = groups.max(axis=1)
-    threshold = np.sort(group_max, axis=1)[:, g - k]
+    by_item = scores.flags.f_contiguous and not scores.flags.c_contiguous
+    if by_item:
+        # s contiguous (g, m) slabs: slab t holds columns t·g ... t·g + g - 1.
+        slabs = scores.T[:full].reshape(s, g, m)
+        group_max = slabs.max(axis=0).T
+    else:
+        group_max = scores[:, :full].reshape(m, s, g).max(axis=1)
+    if k == 1:
+        threshold = group_max.max(axis=1)
+    else:
+        threshold = np.sort(np.ascontiguousarray(group_max), axis=1)[:, g - k]
     if margin is not None:
         threshold = (threshold - margin).astype(scores.dtype)
-    qualify = group_max >= threshold[:, None]
-    if np.count_nonzero(qualify) > _GATHER_SHARE * m * g:
+    if not by_item:
         return np.divmod(np.flatnonzero(scores >= threshold[:, None]), n)
     # Row r's group c holds columns c, c + g, ..., c + (s - 1)g.
-    r, c = np.divmod(np.flatnonzero(qualify), g)
-    pair, step = np.divmod(np.flatnonzero(groups[r, :, c] >= threshold[r, None]), s)
+    # (2-D ``np.nonzero`` is about 10× slower than ``flatnonzero`` + ``divmod``.)
+    c, r = np.divmod(np.flatnonzero(group_max.T >= threshold), m)
+    step, pair = np.divmod(np.flatnonzero(slabs[:, c, r] >= threshold[r]), c.size)
     keys = r[pair] * n + c[pair] + step * g
     if full < n:
-        rest_r, rest_c = np.divmod(np.flatnonzero(scores[:, full:] >= threshold[:, None]), n - full)
+        rest_c, rest_r = np.divmod(np.flatnonzero(scores.T[full:] >= threshold), m)
         keys = np.concatenate([keys, rest_r * n + full + rest_c])
     return np.divmod(np.sort(keys), n)
 

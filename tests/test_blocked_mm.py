@@ -4,7 +4,8 @@ import pytest
 
 from repro.linalg import blocked_mm as mm_module
 from repro.linalg.blocked_mm import blocked_mm_topk
-from repro.linalg.kernels import topk_from_scores
+from repro.linalg import kernels as kernels_module
+from repro.linalg.kernels import item_major, topk_from_scores
 
 
 @pytest.mark.parametrize("user_block", [1, 3, 7, 100])
@@ -151,6 +152,45 @@ def test_rule_picks_float32_only_with_enough_users():
     assert scores.dtype == np.float32 and len(rescore) == 3
     scores, rescore = mm_module.block_scorer(items, 1, m - 1)(users)
     assert scores.dtype == np.float64 and rescore == ()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_rule_scores_item_major_only_at_small_k(precision, monkeypatch):
+    """Blocks are item-major (F order) up to the layout rule's crossover K, user-major past it."""
+    if precision == "float64":
+        monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 10**9)
+    g = np.random.default_rng(24)
+    users, items = g.normal(size=(40, 4)), g.normal(size=(300, 4))
+    cross = max(k for k in range(1, 301) if item_major(k, 300))
+    assert 1 < cross < 300
+    for k in (cross - 1, cross, cross + 1):
+        scores, rescore = mm_module.block_scorer(items, k, len(users))(users)
+        assert (len(rescore) == 3) == (precision == "float32")
+        assert scores.shape == (40, 300)
+        assert scores.flags.f_contiguous != scores.flags.c_contiguous
+        assert scores.flags.f_contiguous == (k <= cross), k
+
+
+@pytest.mark.parametrize("layout", ["user-major", "item-major"])
+@pytest.mark.parametrize("k", [1, 8, 9])
+def test_float32_blocks_bit_equal_across_user_blocks(layout, k, monkeypatch):
+    """Several float32 blocks, the last one short, in each layout, answer as the float64 top-K.
+
+    The item-major blocks share one score buffer, so a block that read
+    scores the next one overwrote would answer wrongly.
+    """
+    monkeypatch.setattr(mm_module, "_MIN_ITEMS_PER_K", 0)
+    monkeypatch.setattr(mm_module, "_MIN_USERS", 0)
+    monkeypatch.setattr(kernels_module, "_GATHER_SHARE", np.inf if layout == "item-major" else 0.0)
+    monkeypatch.setattr(mm_module, "USER_BLOCK", 16)
+    g = np.random.default_rng(25)
+    users = g.integers(-3, 4, size=(50, 5)).astype(np.float64)
+    users[::9] = 0.0
+    items = g.integers(-3, 4, size=(301, 5)).astype(np.float64)
+    ids, sc = blocked_mm_topk(users, items, k)
+    want_ids, want_sc = topk_from_scores(users @ items.T, k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(sc, want_sc)
 
 
 def test_traced_float32_blocks_keep_one_select_span_each(monkeypatch):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg import kernels as kernels_module
 from repro.linalg.kernels import (
     _survivors,
     angles_to,
+    item_major,
     merge_topk,
     row_norms,
     topk_from_scores,
@@ -77,15 +77,25 @@ def test_angles_to_per_row_centers():
     assert angles_to(v, c)[3] == 0.0 and angles_to(v, c)[7] == 0.0
 
 
+def _layouts(scores):
+    """The block user-major (C order) and item-major (F order, as ``item_major`` callers score it).
+
+    ``_survivors`` reads the layout from the memory order: it compares a
+    user-major block whole and gathers an item-major one's qualifying
+    groups.  With one row or one column the two orders coincide.
+    """
+    return {"user-major": np.ascontiguousarray(scores), "item-major": np.asfortranarray(scores)}
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
 def test_topk_from_scores_matches_argsort(k):
     g = np.random.default_rng(k)
-    scores = g.normal(size=(20, 11))
-    ids, sc = topk_from_scores(scores, k)
-    for r in range(20):
-        want = np.argsort(-scores[r], kind="stable")[:k]
-        np.testing.assert_array_equal(ids[r], want)
-        np.testing.assert_allclose(sc[r], scores[r][ids[r]])
+    for layout, scores in _layouts(g.normal(size=(20, 11))).items():
+        ids, sc = topk_from_scores(scores, k)
+        for r in range(20):
+            want = np.argsort(-scores[r], kind="stable")[:k]
+            np.testing.assert_array_equal(ids[r], want, err_msg=layout)
+            np.testing.assert_allclose(sc[r], scores[r][ids[r]])
 
 
 def _reference_topk(ids2d, scores, k):
@@ -97,10 +107,13 @@ def _reference_topk(ids2d, scores, k):
 
 @st.composite
 def _selection_cases(draw):
-    """(ids, scores, k): heavy ties, -inf entries, all-equal rows, n around 64, 128 and 256.
+    """(ids, scores, k): heavy ties, -inf entries, all-equal and zero rows, n around 64, 128 and 256.
 
-    ``k`` ∈ {1, n−1, n, n+5}, or around half the threshold group count
-    ``min(n, 128)``, where ``g = max(2k, 128)`` starts to grow with ``k``.
+    ``k`` ∈ {1, n−1, n, n+5}; around half the threshold group count
+    ``min(n, 128)``, where ``g = max(2k, 128)`` starts to grow with ``k``;
+    or around the largest ``k`` that ``item_major`` sends to the gathered
+    scan.  Ids ascend, are permuted, descend (so tied scores come in
+    descending id order) or differ per row.
     """
     m = draw(st.integers(1, 6))
     n = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 100, 127, 128, 129, 130, 200, 256, 257]))
@@ -115,15 +128,24 @@ def _selection_cases(draw):
         scores = np.repeat(g.integers(-2, 3, size=(m, 1)), n, axis=1).astype(np.float64)
     else:
         scores = g.normal(size=(m, n))
-    layout = draw(st.sampled_from(["arange", "permuted", "2d"]))
+    if draw(st.booleans()):  # a zero user vector scores 0 against every item
+        scores[g.random(m) < 0.4] = 0.0
+    layout = draw(st.sampled_from(["arange", "permuted", "descending", "2d"]))
     if layout == "arange":
         ids = np.arange(n)
     elif layout == "permuted":
         ids = g.permutation(n) * 3 + 7
+    elif layout == "descending":
+        ids = np.arange(n)[::-1] * 2 + 1
     else:
         ids = np.argsort(g.random((m, n)), axis=1)
     half = min(n, 128) // 2
-    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5, max(1, half - 1), max(1, half), half + 1]))
+    cross = max([j for j in range(1, n + 1) if item_major(j, n)], default=1)
+    k = draw(
+        st.sampled_from(
+            [1, max(1, n - 1), n, n + 5, max(1, half - 1), max(1, half), half + 1, max(1, cross - 1), cross, cross + 1]
+        )
+    )
     return ids, scores, k
 
 
@@ -131,10 +153,11 @@ def _selection_cases(draw):
 @given(case=_selection_cases())
 def test_topk_with_ids_matches_full_sort(case):
     ids, scores, k = case
-    got_ids, got_sc = topk_with_ids(ids, scores, k)
     want_ids, want_sc = _reference_topk(np.broadcast_to(ids, scores.shape), scores, k)
-    np.testing.assert_array_equal(got_ids, want_ids)
-    np.testing.assert_array_equal(got_sc, want_sc)
+    for layout, block in _layouts(scores).items():
+        got_ids, got_sc = topk_with_ids(ids, block, k)
+        np.testing.assert_array_equal(got_ids, want_ids, err_msg=layout)
+        np.testing.assert_array_equal(got_sc, want_sc, err_msg=layout)
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,15 +174,15 @@ def test_merge_topk_matches_full_sort(case, cut):
 
 @pytest.mark.parametrize("k", [1, 10])
 def test_topk_from_scores_allocates_under_half_the_block(k):
-    """Selection on a blocked-MM block must not copy the score matrix."""
-    scores = np.random.default_rng(0).normal(size=(1024, 2000))
-    tracemalloc.start()
-    try:
-        topk_from_scores(scores, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < scores.nbytes / 2
+    """Selection on a blocked-MM block, in either layout, must not copy the score matrix."""
+    for layout, scores in _layouts(np.random.default_rng(0).normal(size=(1024, 2000))).items():
+        tracemalloc.start()
+        try:
+            topk_from_scores(scores, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < scores.nbytes / 2, layout
 
 
 def test_topk_from_scores_k_exceeds_n():
@@ -194,13 +217,6 @@ def test_merge_topk_k_larger_than_total():
     np.testing.assert_array_equal(ids, [[1, 0]])
 
 
-def _survivors_by(scan: str, scores, k, margin=None):
-    """``_survivors`` with its scan forced: ``"full"`` compares the whole block, ``"gather"`` only the qualifying groups."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels_module, "_GATHER_SHARE", 0.0 if scan == "full" else np.inf)
-        return _survivors(scores, k, margin)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -213,20 +229,20 @@ def test_survivors_keep_every_entry_within_margin_of_kth(seed, n, k, ulps):
 
     Margins of a fraction of a float32 ulp make the float64 subtraction and
     the cast to float32 round; neither may raise the threshold past an
-    entry.  Both scans are checked.
+    entry.  Both layouts, so both scans, are checked.
     """
     g = np.random.default_rng(seed)
     k = min(k, n)
     scores = (g.integers(-8, 9, size=(5, n)) / 8 + g.normal(size=(5, n)) * 2.0**-22).astype(np.float32)
     margin = ulps * 2.0**-24 * g.random(5)
-    for scan in ("full", "gather"):
-        rows, cols = _survivors_by(scan, scores, k, margin)
+    for layout, block in _layouts(scores).items():
+        rows, cols = _survivors(block, k, margin)
         kept = set(zip(rows.tolist(), cols.tolist()))
         for r in range(5):
             kth = Fraction(float(np.sort(scores[r])[::-1][k - 1]))
             for c in range(n):
                 if Fraction(float(scores[r, c])) >= kth - Fraction(float(margin[r])):
-                    assert (r, c) in kept, scan
+                    assert (r, c) in kept, layout
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,11 +250,11 @@ def test_survivors_keep_every_entry_within_margin_of_kth(seed, n, k, ulps):
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 6),
     n=st.sampled_from([1, 5, 127, 128, 129, 200, 256, 257, 300]),
-    k=st.sampled_from([1, 2, 5, 10, 63, 64, 65, 300]),
-    kind=st.sampled_from(["margin", "tied", "neginf"]),
+    k=st.sampled_from([1, 2, 5, 7, 8, 9, 10, 63, 64, 65, 300]),
+    kind=st.sampled_from(["margin", "tied", "neginf", "zero-rows"]),
 )
 def test_survivor_scans_agree(seed, m, n, k, kind):
-    """The gathered and the full scan return the same (rows, cols), in the same order."""
+    """The gathered scan (item-major block) and the full one (user-major) return the same (rows, cols), in order."""
     g = np.random.default_rng(seed)
     k = min(k, n)
     margin = None
@@ -249,7 +265,10 @@ def test_survivor_scans_agree(seed, m, n, k, kind):
         scores = g.integers(-2, 3, size=(m, n)).astype(np.float64)
         if kind == "neginf":
             scores[scores < 1] = -np.inf
-    full_rows, full_cols = _survivors_by("full", scores, k, margin)
-    rows, cols = _survivors_by("gather", scores, k, margin)
+        elif kind == "zero-rows":
+            scores[g.random(m) < 0.5] = 0.0
+    blocks = _layouts(scores)
+    full_rows, full_cols = _survivors(blocks["user-major"], k, margin)
+    rows, cols = _survivors(blocks["item-major"], k, margin)
     np.testing.assert_array_equal(rows, full_rows)
     np.testing.assert_array_equal(cols, full_cols)

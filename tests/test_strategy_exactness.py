@@ -23,6 +23,7 @@ from repro.linalg import blocked_mm as mm_module
 from repro.linalg import bounded_walk as walk_module
 from repro.linalg import kernels as kernels_module
 from repro.linalg.blocked_mm import blocked_mm_topk
+from repro.linalg.kernels import topk_from_scores
 from repro.mf.models import MFModel, concentration_model, tiny_model
 from tests.validate import assert_valid_topk
 
@@ -269,17 +270,18 @@ def _differential_cases(draw):
 
 # ``blocked_mm`` rule constants that force its float32 filter on every
 # block, whatever the call's user count, and that keep it off; crossed with
-# the ``kernels`` constant that forces every selection's survivor scan to
-# compare the whole block, or only the qualifying groups' columns.
+# the ``kernels`` layout rule constant, forced so that every block blocked
+# MM and the walk's head score is user-major (the full survivor scan) or
+# item-major (the gathered scan).
 _PRECISIONS = {
     "float32": {(mm_module, "_MIN_ITEMS_PER_K"): 0, (mm_module, "_MIN_USERS"): 0},
     "float64": {(mm_module, "_MIN_ITEMS_PER_K"): 10**9},
 }
-_SCANS = {
-    "full scan": {(kernels_module, "_GATHER_SHARE"): 0.0},
-    "gather scan": {(kernels_module, "_GATHER_SHARE"): np.inf},
+_LAYOUTS = {
+    "user-major": {(kernels_module, "_GATHER_SHARE"): 0.0},
+    "item-major": {(kernels_module, "_GATHER_SHARE"): np.inf},
 }
-_MM_PATHS = {f"{p}, {s}": {**_PRECISIONS[p], **_SCANS[s]} for p in _PRECISIONS for s in _SCANS}
+_MM_PATHS = {f"{p}, {lay}": {**_PRECISIONS[p], **_LAYOUTS[lay]} for p in _PRECISIONS for lay in _LAYOUTS}
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,6 +294,10 @@ def test_every_strategy_bit_equal_to_mm(case):
                 mp.setattr(owner, const, value)
             mm = BlockedMM(model)
             ref, ref_vectors = mm.query(rows, k), mm.query_vectors(vectors, k)
+            for got, users in ((ref, model.users[rows]), (ref_vectors, vectors)):
+                want_ids, want_scores = topk_from_scores(users @ model.items.T, k)
+                np.testing.assert_array_equal(got.ids, want_ids, err_msg=f"mm, {path}")
+                np.testing.assert_array_equal(got.scores, want_scores, err_msg=f"mm, {path}")
             for name, make in STRATEGIES.items():
                 strat = make(model)
                 for got, want in ((strat.query(rows, k), ref), (strat.query_vectors(vectors, k), ref_vectors)):
@@ -337,6 +343,6 @@ def test_recopt_bit_equal_to_mm(case, min_sample, seed):
             for (owner, const), value in rule.items():
                 mp.setattr(owner, const, value)
             got, _ = Recopt(model, candidates, k=k, min_sample=min_sample, seed=seed).run()
-            ref = BlockedMM(model).query_vectors(model.users, k)
-            np.testing.assert_array_equal(got.ids, ref.ids, err_msg=path)
-            np.testing.assert_array_equal(got.scores, ref.scores, err_msg=path)
+            ref_ids, ref_scores = topk_from_scores(model.users @ model.items.T, k)
+            np.testing.assert_array_equal(got.ids, ref_ids, err_msg=path)
+            np.testing.assert_array_equal(got.scores, ref_scores, err_msg=path)
