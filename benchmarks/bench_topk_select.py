@@ -5,15 +5,18 @@ One blocked-MM block is ``USER_BLOCK`` users against every item.  Each
 
 * ``gemm``: ``block_scorer``'s step, which on the float32 path
   (``k * _MIN_ITEMS_PER_K <= n``) scales the block by powers of two and
-  runs a float32 GEMM, and otherwise runs the float64 GEMM;
-* ``select``: ``topk_from_scores`` on its output: the kth largest of 128
-  column-group maxima (one ``np.sort``) sets each row's threshold, lowered
-  on the float32 path by the proved margin; the survivors are found by a
-  compare of the whole block, or at K = 1 (few qualifying groups) of the
-  qualifying groups' columns only; float32 survivors are re-scored in
-  float64, and one stable argsort orders them canonically.  K ∈ {1, 10,
-  50} therefore times both survivor scans: K = 1 the gathered one, K = 10
-  and 50 the full compare.
+  runs a float32 GEMM, and otherwise runs the float64 GEMM; either is
+  item-major (``items @ block.T``) at K = 1 and user-major (``block @
+  items.T``) at K = 10 and 50;
+* ``select``: ``topk_from_scores`` on its output: each row's threshold is
+  the largest of 128 column-group maxima at K = 1, else the kth largest
+  (one ``np.sort``), lowered on the float32 path by the proved margin;
+  float32 survivors are re-scored in float64, and one stable argsort
+  orders them canonically.  The scorer picks the block's layout from K
+  (``kernels.item_major``), and the layout picks the survivor scan, so
+  K ∈ {1, 10, 50} times both: K = 1 an item-major block (slab group
+  maxima, then only the qualifying groups' columns compared), K = 10 and
+  50 a user-major block compared whole.
 
 ``path=rule`` follows the module's rule; ``path=float64`` forces the
 float64 block every case took before the float32 filter, so one run shows
@@ -27,7 +30,7 @@ import pytest
 from repro.experiments.grid import reference_grid
 from repro.linalg import blocked_mm as mm_module
 from repro.linalg.blocked_mm import USER_BLOCK, block_scorer
-from repro.linalg.kernels import topk_from_scores
+from repro.linalg.kernels import item_major, topk_from_scores
 
 MODELS = ("netflix-f32-lo", "kdd-f16-hi")
 
@@ -53,6 +56,7 @@ def test_bench_block_gemm(benchmark, blocks, name, k, path, monkeypatch):
     users, score = _scorer(blocks, name, k, path, monkeypatch)
     scores, _ = benchmark.pedantic(lambda: score(users), rounds=10, iterations=1)
     assert scores.shape == (USER_BLOCK, len(blocks[name][1]))
+    assert scores.flags.f_contiguous == item_major(k, scores.shape[1]) == (k == 1)
 
 
 @pytest.mark.parametrize("path", ["rule", "float64"])

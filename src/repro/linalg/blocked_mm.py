@@ -4,12 +4,35 @@ The paper uses Intel MKL GEMM over user batches plus a C++ priority queue
 for top-K extraction.  Here each block of ``USER_BLOCK`` users is scored
 by NumPy's BLAS ``@`` and reduced by ``topk_from_scores``'s threshold
 filter: one vectorized O(n) pass per user takes the maxima of 128 column
-groups, a sort of those maxima gives each row's threshold, and a compare
-with one ``nonzero`` (over the whole block, or at small K over the
-qualifying groups' columns only) leaves about K survivors per row.  Their
-columns ascend, so one stable argsort puts them in canonical order.  Blocking over users bounds the dense score matrix to
+groups, the largest of them (K = 1) or a sort of them gives each row's
+threshold, and a compare with one ``nonzero`` leaves about K survivors per
+row.  Their columns ascend, so one stable argsort puts them in canonical
+order.  Blocking over users bounds the dense score matrix to
 ``USER_BLOCK × n_items`` entries, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.
+
+**The block's layout follows K.**  Before the first GEMM,
+``kernels.item_major(k, n)`` decides how the blocks are scored (see
+``linalg/kernels.py``).  At small K (K ≤ 8 at 128 groups) a block is
+scored item-major, ``items @ block.T``, into one ``(n, USER_BLOCK)``
+buffer reused by every block, and ``topk_from_scores`` gets its
+transpose: the group maxima are then a reduce over contiguous slabs, and
+only each user's qualifying groups and the ``n mod g`` ungrouped items
+are compared.  At larger K a block is scored user-major and compared
+whole.  Whole ``blocked_mm_topk`` calls over all users of scale-4 models
+(medians of 15 interleaved calls, one OpenBLAS thread on its
+SapphireRapids kernels, 4-vCPU x86 host),
+before the layout rule (user-major blocks, which at small K gathered
+from their row-major groups) → with it: netflix-f32-lo (32 000 × 1 200) K = 1
+104 → 81 ms and K = 5 119 → 108 ms; r2-f32-lo (24 000 × 1 800) K = 1
+80 → 66 ms and K = 5 117 → 109 ms.  Where the layout stays user-major
+the calls are unchanged within noise (K = 10: 0.98–1.01×; K = 20 and 50
+on netflix-f32-lo, kdd-f16-hi and glove-f32-hi: 0.94–1.03×).  Forcing
+item-major past the rule loses: K = 16 1.09× on netflix-f32-lo, K = 20
+1.18× on kdd-f16-hi, K = 10 1.08× on glove-f32-hi (32 000 items).
+``USER_BLOCK = 1024`` against 512 (medians of 21): K = 1 63 against 68
+ms (netflix-f32-lo) and 64 against 67 ms (r2-f32-lo); K = 10 145 against
+144 and 140 against 133 ms; 256 and 2 048 rows were slower still.
 
 **A float32 filter, exact by a proved margin.**  NumPy's bundled OpenBLAS
 0.3.23 picks its ``Prescott`` (SSE3) kernels on the 4-vCPU x86 host the

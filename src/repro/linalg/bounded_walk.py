@@ -42,7 +42,10 @@ each user handed to MM, on top of those it scored before.
 **Canonical selection without a lexsort.**  Every user of a block scores
 every head item, so the head is scored in ascending id order (one
 ``np.sort`` of its ids per walk): its survivors' ids then ascend, and one
-stable argsort of their scores is the canonical order.  After each chunk's
+stable argsort of their scores is the canonical order.  Where
+``item_major(k, head)`` holds (small K), the head is scored item-major,
+as blocked MM scores its blocks, so its survivor scan compares only each
+user's qualifying column groups.  After each chunk's
 GEMM only the rows with some entry ``>=`` their current kth score are
 merged, and in those rows only such entries join the merge
 (``merge_topk``): this is the paper's K-heap rule (push an item only if it

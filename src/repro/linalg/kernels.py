@@ -50,7 +50,8 @@ so the gather pays only while few (row, group) pairs qualify, about ``k /
 g``.  Callers therefore score item-major exactly when ``item_major(k,
 n)`` holds, ``k <= _GATHER_SHARE · g`` (K ≤ 8 at ``g = 128``), and
 user-major otherwise.  ``topk_from_scores`` on 1024-row float32 blocks of
-the scale-4 reference grid (medians of 33), user-major → item-major:
+the scale-4 reference grid (medians of 33; one thread, OpenBLAS on its
+SapphireRapids kernels), user-major → item-major:
 K = 1 1.57 → 0.71 ms (netflix-f32-lo, 1 200 items), 2.09 → 0.85 ms
 (r2-f32-lo, 1 800), 14.5 → 4.3 ms (kdd-f16-hi, 8 000) and, at medians of
 15, 50 → 21 ms (glove-f32-hi, 32 000); K = 5 0.51–0.90×; K = 8 0.73–1.01×
