@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.indexes.base import Strategy, TopK
+from repro.indexes.base import Strategy, TopK, check_k
 from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import MFModel
 
@@ -93,11 +93,9 @@ class Recopt:
         their cost and misclassify.  Point-query indexes don't pay the
         full floor: the T-test stops their measurement early.
         """
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         self.model = model
         self.index_factories = index_factories
-        self.k = k
+        self.k = check_k(k)
         self.min_sample = min_sample
         self.seed = seed
 

@@ -14,6 +14,7 @@ RECOPT relies on three properties encoded here:
 """
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -32,6 +33,18 @@ class TopK:
 
     ids: np.ndarray
     scores: np.ndarray
+
+
+def check_k(k) -> int:
+    """``k`` as an ``int``; ``ValueError`` unless it is an integer (not a ``bool``) of at least 1.
+
+    A float, even ``3.0``, is refused here rather than by a kernel's ``TypeError``.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):  # np.bool_ is neither
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return operator.index(k)
 
 
 class Strategy(ABC):
@@ -59,7 +72,7 @@ class Strategy(ABC):
         return self.query_vectors(self._users(user_rows), k)
 
     def _check(self, users, k: int) -> np.ndarray:
-        """``users`` as a float64 array; ``ValueError`` unless it is a finite ``(q, f)`` matrix and ``k >= 1``.
+        """``users`` as a float64 array; ``ValueError`` unless it is a finite ``(q, f)`` matrix and ``k`` passes ``check_k``.
 
         Every ``query_vectors`` calls this first and answers what it returns:
         a NaN row would otherwise come back as duplicate ids scored ``-inf``,
@@ -71,8 +84,7 @@ class Strategy(ABC):
             raise ValueError(f"user vectors must be a (q, {f}) matrix, got shape {users.shape}")
         if not np.isfinite(users).all():
             raise ValueError("user vectors must be finite (no NaN or inf)")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        check_k(k)
         return users
 
     def _users(self, user_rows: np.ndarray) -> np.ndarray:

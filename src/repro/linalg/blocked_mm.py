@@ -11,6 +11,12 @@ order.  Blocking over users bounds the dense score matrix to
 ``USER_BLOCK × n_items`` entries, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.
 
+**Every dense block comes here.**  ``blocked_mm_topk`` serves the MM
+strategy, the bounded walk's head (one call per LEMP user block and per
+RECDEX cluster, over the head's items in ascending id order) and its
+unprunable rest, and RECDEX's out-of-cone users.  This module alone
+decides each block's layout and precision, by the two rules below.
+
 **The block's layout follows K.**  Before the first GEMM,
 ``kernels.item_major(k, n)`` decides how the blocks are scored (see
 ``linalg/kernels.py``).  At small K (K ≤ 8 at 128 groups) a block is
@@ -98,7 +104,9 @@ scale-4 netflix-f32-lo, r2-f32-lo, kdd-f16-hi and glove-f32-hi (K ∈ {1,
 10}, medians of 41) read float32 at 2–7× float64's time for one user,
 0.9–1.4× for 16, 0.9–1.1× for 32 and 0.6–0.9× for 64.  Calls with fewer
 than ``_MIN_USERS = 32`` users, such as the bounded walk's rest, RECDEX's
-out-of-cone fallback and its per-user lesion, therefore take float64.
+out-of-cone fallback and its per-user lesion, therefore take float64, and
+so does the head of a walk over fewer than ``_MIN_USERS`` users (a small
+RECDEX cluster, or a cluster's share of RECOPT's sample).
 """
 from __future__ import annotations
 

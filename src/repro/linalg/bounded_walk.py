@@ -39,21 +39,32 @@ kdd-f32-hi at K=10 walks items 125 to 1 538 of 2 000 as one chunk, and
 went from 1.3× to 2.4–2.7× blocked MM.  ``scored`` counts ``n`` pairs for
 each user handed to MM, on top of those it scored before.
 
-**Canonical selection without a lexsort.**  Every user of a block scores
-every head item, so the head is scored in ascending id order (one
-``np.sort`` of its ids per walk): its survivors' ids then ascend, and one
-stable argsort of their scores is the canonical order.  Where
-``item_major(k, head)`` holds (small K), the head is scored item-major,
-as blocked MM scores its blocks, so its survivor scan compares only each
-user's qualifying column groups.  After each chunk's
-GEMM only the rows with some entry ``>=`` their current kth score are
-merged, and in those rows only such entries join the merge
-(``merge_topk``): this is the paper's K-heap rule (push an item only if it
-beats the heap's minimum), applied per entry.  An entry below the kth
-score can never enter the top-K, so the answer is unchanged; ``>=`` keeps
-the ties the id tie-break may still need.  A long chunk therefore adds
-only its few qualifying entries to the merge, not an ``(a, k + chunk)``
-array.
+**The head is one blocked MM call.**  Every user of a block scores every
+head item, so the head is answered by ``blocked_mm_topk`` over the head's
+item rows, taken in ascending id order (one ``np.sort`` of its ids per
+walk).  MM breaks ties by column, which is then the id tie-break, so
+``head_ids[cols]`` is each user's canonical top-K of the head.  Blocked MM
+alone decides the head's layout and precision, as it does for every other
+dense block: a head of at least ``16·K`` items serving at least
+``blocked_mm._MIN_USERS`` users takes the float32 filter, whose margin
+proof holds for any item matrix, and the scores it returns are float64
+either way.  Against a float64 head GEMM of the walk's own, this moved
+3 200-user serves of scale-4 models (a Spark partition's share; medians
+of 3 interleaved processes × 9 serves, one OpenBLAS thread, 4-vCPU x86
+host): kdd-f16-hi K=10 LEMP 41 → 33 ms and RECDEX 17.7 → 14.5 ms;
+glove-f32-hi K=1 LEMP 39 → 25 ms and RECDEX 45 → 32 ms, K=10 141 → 122
+and 65 → 45 ms.  Sample-sized serves (256–320 users) moved by at most
+0.21 ms where MM itself held still (r2-f16-hi K=1 RECDEX 1.62 → 1.82 ms,
+about 40 users per cluster).
+
+**The merges.**  After each chunk's GEMM only the rows with some entry
+``>=`` their current kth score are merged, and in those rows only such
+entries join the merge (``merge_topk``): this is the paper's K-heap rule
+(push an item only if it beats the heap's minimum), applied per entry.  An
+entry below the kth score can never enter the top-K, so the answer is
+unchanged; ``>=`` keeps the ties the id tie-break may still need.  A long
+chunk therefore adds only its few qualifying entries to the merge, not an
+``(a, k + chunk)`` array.
 
 Users are walked in blocks of ``USER_BLOCK``, so the walk's working
 arrays have a fixed size however many users it serves.  Unblocked, a
@@ -67,7 +78,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.blocked_mm import blocked_mm_topk
-from repro.linalg.kernels import item_major, merge_topk, row_norms, topk_with_ids
+from repro.linalg.kernels import merge_topk, row_norms
 
 USER_BLOCK = 4096
 _ROUNDING_SLACK = 1e-6
@@ -91,10 +102,10 @@ def bounded_walk(
     every user ``u``, up to rounding; ``max_norm`` is at least every
     walked item's norm and scales the rounding slack.  The first
     ``max(first, k)`` items are scored against every user of a block in
-    one GEMM; each later ``chunk`` only against the block's users still
-    walking.  Zero-norm users score 0 everywhere and are never dropped:
-    their canonical top-K is the ``k`` smallest ids, which only the whole
-    list reveals.
+    one ``blocked_mm_topk`` call; each later ``chunk`` only against the
+    block's users still walking.  Zero-norm users score 0 everywhere and
+    are never dropped: their canonical top-K is the ``k`` smallest ids,
+    which only the whole list reveals.
 
     ``order`` holds every row of ``items``, since a user handed to blocked
     MM is scored against all of them.
@@ -106,8 +117,8 @@ def bounded_walk(
     k = min(k, n)
     # At least k items before any stop test, so every kth score is a real one.
     head = min(max(first, k), n)
-    # Every user of a block scores every head item, so the head is scored in
-    # ascending id order: its selection then needs no id sort.
+    # Every user of a block scores every head item, so the head is one blocked
+    # MM call; its ids ascend, so MM's column tie-break is the id tie-break.
     head_ids = np.sort(order[:head])
     head_items = items[head_ids]
     top_ids = np.empty((m, k), dtype=np.int64)
@@ -141,15 +152,11 @@ def _walk_block(
     n = len(order)
     neg_reach = -reach  # non-decreasing, as searchsorted needs
     norms = row_norms(users)
-    stop = len(head_items)
-    if item_major(k, stop):
-        head_scores = (head_items @ users.T).T
-    else:
-        head_scores = users @ head_items.T
-    top_ids, top_scores = topk_with_ids(head_ids, head_scores, k)
-    scored = len(users) * stop
+    cols, top_scores = blocked_mm_topk(users, head_items, k)
+    top_ids = head_ids[cols]
+    pos = len(head_ids)
+    scored = len(users) * pos
     active = np.arange(len(users))
-    pos = stop
     while pos < n and active.size:
         with np.errstate(divide="ignore", invalid="ignore"):
             kth = np.where(

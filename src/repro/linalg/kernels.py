@@ -6,18 +6,17 @@ exactness tests can compare them directly.  The canonical ordering is
 
 **One exact top-K selection** serves every caller: a survivor filter
 (``_survivors``) and a canonical sort of the survivors (``_pack_topk``).
-``topk_from_scores`` runs both on blocked MM's blocks, re-scoring the
-survivors of a float32 block in float64 between the two;
-``topk_with_ids`` runs them on the bounded walk's head, and
-``merge_topk`` packs a running top-K with a chunk's entries at or above
-its kth score.
+``topk_from_scores`` runs both on blocked MM's blocks, the bounded walk's
+head among them, re-scoring the survivors of a float32 block in float64
+between the two, and ``merge_topk`` packs a running top-K with a chunk's
+entries at or above its kth score.
 
 *Canonical order without a lexsort.*  ``_pack_topk`` takes survivors whose
 ids ascend within each row, so one stable argsort of the negated scores
 leaves ties in ascending id order.  Blocked MM's columns ascend, and the
-walk scores its head in ascending id order; merges, and ids in any other
-order, first sort their candidates by one integer key ``row·span + id``
-(``_by_row_and_id``).
+walk hands blocked MM its head's items in ascending id order; merges, and
+ids in any other order, first sort their candidates by one integer key
+``row·span + id`` (``_by_row_and_id``).
 
 *The threshold.*  Each row's columns fall into ``g = min(n, max(2k,
 128))`` groups, and the kth largest group maximum bounds the row's kth
@@ -47,11 +46,11 @@ On a 1024 × 1 200 float32 block the slab maxima took 0.26 ms against 0.58
 ms for the user-major middle-axis reduce.  A gathered entry costs about a
 cache line, where the full compare streams 16 float32 entries per line,
 so the gather pays only while few (row, group) pairs qualify, about ``k /
-g``.  Callers therefore score item-major exactly when ``item_major(k,
-n)`` holds, ``k <= _GATHER_SHARE · g`` (K ≤ 8 at ``g = 128``), and
-user-major otherwise.  ``topk_from_scores`` on 1024-row float32 blocks of
-the scale-4 reference grid (medians of 33; one thread, OpenBLAS on its
-SapphireRapids kernels), user-major → item-major:
+g``.  Blocked MM, ``item_major``'s one caller, therefore scores item-major
+exactly when ``item_major(k, n)`` holds, ``k <= _GATHER_SHARE · g`` (K ≤
+8 at ``g = 128``), and user-major otherwise.  ``topk_from_scores`` on
+1024-row float32 blocks of the scale-4 reference grid (medians of 33; one
+thread, OpenBLAS on its SapphireRapids kernels), user-major → item-major:
 K = 1 1.57 → 0.71 ms (netflix-f32-lo, 1 200 items), 2.09 → 0.85 ms
 (r2-f32-lo, 1 800), 14.5 → 4.3 ms (kdd-f16-hi, 8 000) and, at medians of
 15, 50 → 21 ms (glove-f32-hi, 32 000); K = 5 0.51–0.90×; K = 8 0.73–1.01×
@@ -85,8 +84,8 @@ def _groups(k: int, n: int) -> int:
 def item_major(k: int, n: int) -> bool:
     """Whether a top-``k`` selection over ``n`` columns is handed an item-major block.
 
-    True when ``k <= _GATHER_SHARE · g``; callers then score the block as
-    ``(items @ users.T).T``, and ``_survivors`` gathers its qualifying
+    True when ``k <= _GATHER_SHARE · g``; blocked MM then scores the block
+    as ``(items @ users.T).T``, and ``_survivors`` gathers its qualifying
     groups (see the module docstring).
     """
     k = min(k, n)
@@ -219,13 +218,15 @@ def _by_row_and_id(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray):
     return rows, ids, scores
 
 
+# No serve path calls this; it stays because mipsbench/tracing.py patches it
+# by name, here and as repro.core.recdex.topk_with_ids.
 def topk_with_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact canonical top-``k`` of ``scores`` labeled by ``ids``.
 
     ``scores`` is ``(m, n)``; ``ids`` is ``(n,)`` or ``(m, n)`` and gives
     the real item id of each column.  ``k`` is clamped to the column count.
-    Ids that ascend along each row (the bounded walk's head) go straight
-    to ``_pack_topk``; others cost one argsort of the survivors' keys.
+    Ids that ascend along each row go straight to ``_pack_topk``; others
+    cost one argsort of the survivors' keys.
 
     A threshold filter stands in for the paper's priority queue: every
     entry at or above a threshold no higher than the row's kth largest

@@ -26,7 +26,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from repro.indexes.base import Strategy
+from repro.indexes.base import Strategy, check_k
 
 TOPK_SCHEMA = T.StructType(
     [
@@ -71,8 +71,7 @@ def serve_topk(spark: SparkSession, users_df: DataFrame, strategy: Strategy, k: 
     of length ``model.f``; its ``id`` is copied to ``user_id``.  The
     strategy is built here if it is not yet.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = check_k(k)
     strategy.build()  # idempotent: a no-op once built
     shipped = copy.copy(strategy)
     shipped.model = replace(strategy.model, users=strategy.model.users[:0])

@@ -6,10 +6,11 @@ base class) breaks the traced benchmark run.  This installs the tracer,
 checks that every target was wrapped, and that ``uninstall`` puts the
 originals back.  A second test makes the calls ``mipsbench/run.py``
 makes outside Spark, so an API drift fails here rather than only in the
-benchmark's own self-check.  A third runs the ``mm-batch`` workload at
-smoke scale in both trace modes: a change that takes blocked MM's
-selection out of the ``topk_from_scores`` call the tracer times reads
-``linalg.mm_select_s = 0`` there.
+benchmark's own self-check.  The last two run the ``mm-batch`` and
+``spark-serve`` workloads at smoke scale in both trace modes: a change
+that takes blocked MM's selection out of the ``topk_from_scores`` call
+the tracer times reads ``linalg.mm_select_s = 0`` there, and one that
+breaks the Spark serve reads ``spark.serve_job_s = 0``.
 """
 import json
 import subprocess
@@ -57,15 +58,29 @@ def test_benchmark_call_surface():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_mm_batch_smoke_run(trace):
-    cmd = [sys.executable, "mipsbench/run.py", "--workload", "mm-batch", "--smoke", "--seconds", "1", "--seed", "1"]
+def _smoke_run(workload, trace):
+    """One ``--smoke`` run of ``workload``: every job exact, and exactly the metrics BENCHMARK.json lists."""
+    cmd = [sys.executable, "mipsbench/run.py", "--workload", workload, "--smoke", "--seconds", "1", "--seed", "1"]
     proc = subprocess.run([*cmd, "--trace", str(trace)], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["attempted"] > 0 and result["failed"] == 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(result["metrics"]) == {m["name"] for m in spec["per_layer" if trace else "end_to_end"]}
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_mm_batch_smoke_run(trace):
+    metrics = _smoke_run("mm-batch", trace)
     if trace:
-        assert result["metrics"]["linalg.mm_select_s"]["value"] > 0
-        assert result["metrics"]["linalg.gemm_flops"]["value"] > 0
+        assert metrics["linalg.mm_select_s"]["value"] > 0
+        assert metrics["linalg.gemm_flops"]["value"] > 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_spark_serve_smoke_run(trace):
+    metrics = _smoke_run("spark-serve", trace)
+    if trace:
+        assert metrics["spark.serve_job_s"]["value"] > 0
+        assert metrics["spark.rows_emitted"]["value"] > 0

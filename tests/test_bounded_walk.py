@@ -1,5 +1,8 @@
 """The bounded walk's two exits: bounds stop every user, or blocked MM answers the rest.
 
+The head is one blocked MM call too: each spy tells the two kinds of call
+apart by the item matrix it is handed.
+
 Every model here has small-integer factors, so each float64 dot product
 is exact whatever the GEMM shape, and the walk must return blocked MM's
 ids and scores bit for bit.
@@ -7,12 +10,13 @@ ids and scores bit for bit.
 import numpy as np
 import pytest
 
+from repro.core.kmeans import assign
 from repro.core.recdex import RecdexIndex
 from repro.indexes.lemp import LempIndex
 from repro.linalg import bounded_walk as walk_module
 from repro.linalg.blocked_mm import blocked_mm_topk
 from repro.linalg.bounded_walk import bounded_walk
-from repro.linalg.kernels import row_norms, topk_with_ids
+from repro.linalg.kernels import row_norms
 from repro.mf.models import MFModel
 
 
@@ -41,15 +45,24 @@ def _concentrated(seed=0, m=60, n_small=100, f=4):
     return MFModel(name="concentrated", users=users.astype(np.float64), items=items)
 
 
-def _mm_spy(monkeypatch):
-    calls = []
+def _mm_spy(monkeypatch, items):
+    """Record the walk's ``blocked_mm_topk`` calls: ``(rest, heads)``.
 
-    def spy(users, items, k):
-        calls.append(len(users))
-        return blocked_mm_topk(users, items, k)
+    A rest call is handed the full item matrix ``items`` and is recorded by
+    its user count; a head call is handed a copy of the head's rows and is
+    recorded as ``(user count, head items)``.
+    """
+    rest, heads = [], []
+
+    def spy(users, mm_items, k):
+        if mm_items is items:
+            rest.append(len(users))
+        else:
+            heads.append((len(users), mm_items.copy()))
+        return blocked_mm_topk(users, mm_items, k)
 
     monkeypatch.setattr(walk_module, "blocked_mm_topk", spy)
-    return calls
+    return rest, heads
 
 
 def _norm_walk(model, k, *, first, chunk):
@@ -70,7 +83,7 @@ def _assert_mm(model, k, ids, scores):
 def test_isotropic_rest_goes_to_mm(k, monkeypatch):
     """Flat norms prune nothing: the rest goes to one MM call, and scores n pairs per user handed over."""
     model = _isotropic()
-    calls = _mm_spy(monkeypatch)
+    calls, _ = _mm_spy(monkeypatch, model.items)
     ids, scores, scored = _norm_walk(model, k, first=8, chunk=4)
     _assert_mm(model, k, ids, scores)
     assert len(calls) == 1
@@ -82,7 +95,7 @@ def test_isotropic_rest_goes_to_mm(k, monkeypatch):
 def test_concentrated_bounds_stop_the_walk(k, monkeypatch):
     """Long items answer every user, so the bounds stop the walk before the short items and MM is never called."""
     model = _concentrated()
-    calls = _mm_spy(monkeypatch)
+    calls, _ = _mm_spy(monkeypatch, model.items)
     ids, scores, scored = _norm_walk(model, k, first=4, chunk=2)
     _assert_mm(model, k, ids, scores)
     assert calls == []
@@ -95,7 +108,7 @@ def test_flat_bounds_hand_every_user_to_mm_at_once(monkeypatch):
     items = np.vstack([np.eye(f), -np.eye(f)] * 5)
     users = np.random.default_rng(3).integers(-3, 4, size=(25, f)).astype(np.float64)
     model = MFModel(name="axes", users=users, items=items)
-    calls = _mm_spy(monkeypatch)
+    calls, _ = _mm_spy(monkeypatch, model.items)
     ids, scores, scored = _norm_walk(model, 2, first=6, chunk=3)
     _assert_mm(model, 2, ids, scores)
     assert calls == [model.m]
@@ -125,11 +138,35 @@ def test_recdex_answers_do_not_depend_on_chunk(make, k, shared):
 def test_recdex_items_visited_counts_mm_pairs(monkeypatch):
     """RECDEX's w̄ numerator includes n pairs for each user its walks hand to MM."""
     model = _isotropic(seed=2)
-    calls = _mm_spy(monkeypatch)
+    calls, _ = _mm_spy(monkeypatch, model.items)
     idx = RecdexIndex(model, n_clusters=2, block=4, walk_chunk=2)
     idx.query_vectors(model.users, 3)
     assert calls
     assert idx.items_visited >= model.m * 4 + sum(calls) * model.n
+
+
+def test_one_head_call_per_lemp_block_and_recdex_cluster(monkeypatch):
+    """Each RECDEX cluster and each LEMP user block scores its head in exactly one blocked MM call."""
+    model = _isotropic(seed=4, m=50)
+    k, first = 3, 8
+    _, heads = _mm_spy(monkeypatch, model.items)
+    idx = RecdexIndex(model, n_clusters=3, block=first, walk_chunk=2)
+    idx.build()
+    members = np.bincount(assign(model.users, idx.centers)[0], minlength=len(idx.centers))
+    got = idx.query_vectors(model.users, k)
+    _assert_mm(model, k, got.ids, got.scores)
+    assert [m for m, _ in heads] == members.tolist()
+    for (_, head_items), order in zip(heads, idx.orders):
+        np.testing.assert_array_equal(head_items, model.items[np.sort(order[:first])])
+
+    heads.clear()
+    monkeypatch.setattr(walk_module, "USER_BLOCK", 16)
+    idx = LempIndex(model, bucket_size=first)
+    got = idx.query_vectors(model.users, k)
+    _assert_mm(model, k, got.ids, got.scores)
+    assert [m for m, _ in heads] == [16, 16, 16, 2]
+    for _, head_items in heads:
+        np.testing.assert_array_equal(head_items, model.items[np.sort(idx.order[:first])])
 
 
 def _straddling_ties(seed=0):
@@ -151,21 +188,17 @@ def _straddling_ties(seed=0):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("bucket", [1, 2, 3])
 def test_lemp_ties_straddling_head_and_chunk_match_mm(k, bucket, monkeypatch):
-    """Bit-equal to MM, without MM's help: the head's and the merges' id tie-breaks decide."""
+    """Bit-equal to MM with no rest call to MM: the head's and the merges' id tie-breaks decide."""
     model = _straddling_ties()
-    calls = _mm_spy(monkeypatch)
-    heads = []
-
-    def head_spy(ids, scores, k):
-        heads.append(ids.copy())
-        return topk_with_ids(ids, scores, k)
-
-    monkeypatch.setattr(walk_module, "topk_with_ids", head_spy)
-    got = LempIndex(model, bucket_size=bucket).query_vectors(model.users, k)
+    calls, heads = _mm_spy(monkeypatch, model.items)
+    idx = LempIndex(model, bucket_size=bucket)
+    got = idx.query_vectors(model.users, k)
     _assert_mm(model, k, got.ids, got.scores)
     np.testing.assert_array_equal(got.ids[:, 0], 2)
     assert calls == []
-    assert len(heads) == 1 and np.all(np.diff(heads[0]) > 0)
+    # One head call, over the head's items in ascending id order.
+    assert len(heads) == 1
+    np.testing.assert_array_equal(heads[0][1], model.items[np.sort(idx.order[: max(bucket, k)])])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -180,7 +180,7 @@ def test_k_exceeding_n(model):
     assert_valid_topk(model, res, 1000)
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 2.5])
 def test_k_below_one_rejected(model, k):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be"):
         Recopt(model, {"lemp": _factories()["lemp"]}, k=k)

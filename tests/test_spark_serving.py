@@ -193,11 +193,11 @@ def test_broadcast_is_built_strategy_without_users(spark, model, users_df, broad
     assert out.count() == model.m * 3
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 2.5])
 @pytest.mark.parametrize("name", ["mm", "lemp"])
 def test_k_below_one_rejected(spark, model, users_df, name, k):
     strategy = BlockedMM(model) if name == "mm" else FACTORIES[name](model)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be"):
         serve_topk(spark, users_df, strategy, k)
 
 

@@ -153,6 +153,10 @@ _BAD_QUERIES = {
     "1-d": (lambda u: u[0], 3, _SHAPE),
     "k0": (lambda u: u, 0, "k must be at least 1"),
     "kneg": (lambda u: u, -2, "k must be at least 1"),
+    "kfloat": (lambda u: u, 2.5, "k must be an integer"),
+    "knpfloat": (lambda u: u, np.float64(3.0), "k must be an integer"),
+    "kstr": (lambda u: u, "3", "k must be an integer"),
+    "kbool": (lambda u: u, True, "k must be an integer"),
 }
 
 
@@ -271,8 +275,9 @@ def _differential_cases(draw):
 # ``blocked_mm`` rule constants that force its float32 filter on every
 # block, whatever the call's user count, and that keep it off; crossed with
 # the ``kernels`` layout rule constant, forced so that every block blocked
-# MM and the walk's head score is user-major (the full survivor scan) or
-# item-major (the gathered scan).
+# MM scores is user-major (the full survivor scan) or item-major (the
+# gathered scan).  The walk's head is a blocked MM call, so both rules
+# drive LEMP's and RECDEX's heads too.
 _PRECISIONS = {
     "float32": {(mm_module, "_MIN_ITEMS_PER_K"): 0, (mm_module, "_MIN_USERS"): 0},
     "float64": {(mm_module, "_MIN_ITEMS_PER_K"): 10**9},
