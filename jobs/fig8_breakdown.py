@@ -32,9 +32,8 @@ def breakdown_models(scale: float = 1.0) -> list:
 
 def run(spark: SparkSession, *, scale: float = 1.0) -> DataFrame:
     # B = 1024 keeps the paper's prefix-to-item-count ratio (4096 / ~17K
-    # items ≈ 1024 / 40K·scale at our default w̄); lesion granularity 32
-    # approximates the paper's per-item walk (see fig8.breakdown docs).
-    bd = breakdown(breakdown_models(scale), block=1024, walk_chunk=256, lesion_chunk=32)
+    # items ≈ 1024 / 40K·scale at our default w̄).
+    bd = breakdown(breakdown_models(scale), block=1024)
     print(bd.round(4).to_string())
     return spark.createDataFrame(bd.reset_index())
 

@@ -34,12 +34,16 @@ at most 0.01 rad (kdd-f16-hi 0.450 → 0.448, netflix-f16-hi 0.469 →
 
 Hardware-efficient execution (Section 5.4): the first ``B`` items of each
 walk are shared across all of the cluster's users as one blocked matrix
-multiply (paper default B=4096); the remainder is walked in chunks sized
-by the bounds, with per-chunk deactivation, and an unprunable rest is
-answered by blocked MM.  The walk is
-``repro.linalg.bounded_walk``, the one LEMP-lite runs over its norm-sorted
-list.  ``shared=False`` is the lesion variant (per-user walk, no
-cross-user work sharing) used by the Fig. 8 blocking lesion study.
+multiply; the remainder is walked in chunks sized by the bounds, with
+per-chunk deactivation, and an unprunable rest is answered by blocked MM.
+The walk is ``repro.linalg.bounded_walk``, the one LEMP-lite runs over its
+norm-sorted list; RECDEX sets only its head, ``B``.  ``block=None`` takes
+``B = max(32, n // 8)``: the paper's B=4096 is tuned for its 17K–1M-item
+models, and the reference grid's analogs keep a prefix of about an eighth
+of the items instead.  ``shared=False`` is the lesion variant used by the
+Fig. 8 blocking lesion study: the same walk run for each user alone, from
+the top of the list with a head of ``k`` items, as in the paper's per-user
+walk, so nothing is shared across users.
 """
 from __future__ import annotations
 
@@ -56,8 +60,6 @@ from repro.linalg.kernels import merge_topk, topk_with_ids  # noqa: F401  (patch
 from repro.mf.models import MFModel
 
 DEFAULT_CLUSTERS = 8  # paper: C=8
-DEFAULT_BLOCK = 4096  # paper: B=4096
-_WALK_CHUNK = 32  # vectorized chunk size for the post-prefix walk
 _KMEANS_ITERS = 10
 _KMEANS_SEED = 0
 _KMEANS_SAMPLE = 4096  # users k-means clusters; every user is then assigned
@@ -89,15 +91,13 @@ class RecdexIndex(Strategy):
         model: MFModel,
         *,
         n_clusters: int = DEFAULT_CLUSTERS,
-        block: int = DEFAULT_BLOCK,
+        block: int | None = None,
         shared: bool = True,
-        walk_chunk: int = _WALK_CHUNK,
     ):
         super().__init__(model)
         self.n_clusters = n_clusters
-        self.block = max(1, block)
+        self.block = max(1, block) if block is not None else max(32, model.n // 8)
         self.shared = shared
-        self.walk_chunk = max(1, walk_chunk)
         #: the index, one row per non-empty cluster: ``centers`` ``(C', f)``;
         #: ``theta_b`` ``(C',)``, the largest angle from a member user to its
         #: center; ``orders`` ``(C', n)``, the item ids by descending bound
@@ -154,7 +154,7 @@ class RecdexIndex(Strategy):
         labels, _ = assign(users, self.centers)
         # Lemma 5.1 holds only within θ_b of the center: blocked MM answers the rest.
         labels[angles_to(users, self.centers[labels]) > self.theta_b[labels]] = -1
-        first = self.block if self.shared else self.walk_chunk
+        first = self.block if self.shared else 1
         for j in range(len(self.centers)):
             at = np.nonzero(labels == j)[0]
             # The lesion walks each user alone, so nothing is shared.
@@ -168,7 +168,6 @@ class RecdexIndex(Strategy):
                     self.bounds[j],
                     k,
                     first=first,
-                    chunk=self.walk_chunk,
                     max_norm=self.max_norm,
                 )
                 self.items_visited += scored

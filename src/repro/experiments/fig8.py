@@ -2,9 +2,11 @@
 
 Per model: wall-clock of RECDEX's four stages (cluster, bound, sort,
 serve) and the serve time with the shared-prefix blocked multiply
-disabled (``shared=False``).  The paper reports 2.4× (Netflix-NOMAD
-f=50) and 1.4× (R2-NOMAD f=50) speedups from work sharing, and a
-1.6–1.8 % pre-serving overhead.
+disabled (``shared=False``: the same walk run for each user alone, from a
+head of K items).  Both serves run the RECDEX that RECOPT serves, with the
+walk's own chunk floor.  The paper reports 2.4× (Netflix-NOMAD f=50) and
+1.4× (R2-NOMAD f=50) speedups from work sharing, and a 1.6–1.8 %
+pre-serving overhead.
 """
 from __future__ import annotations
 
@@ -12,31 +14,18 @@ import time
 
 import pandas as pd
 
-from repro.core.recdex import _WALK_CHUNK, RecdexIndex
+from repro.core.recdex import RecdexIndex
 from repro.mf.models import MFModel
 
 
-def breakdown(
-    models: list[MFModel],
-    *,
-    k: int = 1,
-    block: int | None = None,
-    walk_chunk: int = _WALK_CHUNK,
-    lesion_chunk: int = 32,
-) -> pd.DataFrame:
+def breakdown(models: list[MFModel], *, k: int = 1, block: int | None = None) -> pd.DataFrame:
     """One row per model: stage times, lesion serve time, sharing speedup.
 
-    ``lesion_chunk`` is the per-user traversal granularity of the
-    unshared variant.  The paper's lesion walks item-at-a-time per user;
-    a NumPy loop at granularity 1 would measure pure interpreter overhead,
-    so the lesion walks small per-user chunks instead — still far more
-    vectorized than the paper's per-item walk, i.e. generous to the
-    lesion.
+    ``block`` is RECDEX's shared prefix B (``None``: RECDEX's own default).
     """
     rows = []
     for model in models:
-        b = block if block is not None else max(32, model.n // 8)
-        idx = RecdexIndex(model, block=b, walk_chunk=walk_chunk)
+        idx = RecdexIndex(model, block=block)
         idx.build()
         idx.query_vectors(model.users, k)  # warm BLAS/thread pools outside the timed region
         idx.items_visited = 0
@@ -45,9 +34,7 @@ def breakdown(
         serve_shared = time.perf_counter() - t0
         w_bar = idx.items_visited / model.m
 
-        lesion = RecdexIndex(
-            model, block=b, walk_chunk=lesion_chunk, shared=False
-        )
+        lesion = RecdexIndex(model, shared=False)
         lesion.build()
         t0 = time.perf_counter()
         lesion.query_vectors(model.users, k)

@@ -7,8 +7,9 @@ user-concentration levels (κ): high κ plays the role of the paper's
 high-regularization / high-similarity models, low κ the isotropic ones.
 
 Index parameters scale with the item count: the paper's B=4096 prefix and
-L3-sized LEMP buckets are tuned for 17K–1M items; at analog scale we keep
-the same *ratios* (B ≈ n/8, buckets ≈ n/16).
+L3-sized LEMP buckets are tuned for 17K–1M items; at analog scale each
+index keeps a *ratio* by default (RECDEX's B ≈ n/8, LEMP's bucket ≈
+n/16), so the factories take every index as its class builds it.
 """
 from __future__ import annotations
 
@@ -62,14 +63,15 @@ def reference_grid(*, scale: float = 1.0, seed: int = 0) -> list[MFModel]:
 
 
 def strategy_factories(model: MFModel) -> dict[str, Callable[[MFModel], Strategy]]:
-    """Per-model-size tuned factories for every serving strategy."""
-    n = model.n
-    bucket = max(32, n // 16)
-    block = max(32, n // 8)
+    """Factories for every serving strategy.
+
+    ``model`` is not read: each index sizes itself from the model it is
+    built on.
+    """
     return {
-        "mm": lambda m: BlockedMM(m),
-        "lemp": lambda m, b=bucket: LempIndex(m, bucket_size=b),
+        "mm": BlockedMM,
+        "lemp": LempIndex,
         "fexipro-si": lambda m: FexiproIndex(m, variant="SI"),
         "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
-        "recdex": lambda m, b=block: RecdexIndex(m, block=b),
+        "recdex": RecdexIndex,
     }

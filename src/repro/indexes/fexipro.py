@@ -63,11 +63,7 @@ class FexiproIndex(Strategy):
         # n < f case needs the full factorization for an orthonormal V.
         full = items.shape[0] < f
         _, svals, vt = np.linalg.svd(items, full_matrices=full)
-        if vt.shape[0] < f:
-            # n < f with economy SVD cannot happen (full=True above), but
-            # guard the invariant: V must be a complete f×f rotation.
-            raise AssertionError("SVD returned truncated right factor")
-        self.v = vt[:f].T  # (f, f) orthonormal
+        self.v = vt.T  # (f, f) orthonormal
         rot = items @ self.v
         energy = np.cumsum(svals**2)
         total = energy[-1] if energy.size else 0.0

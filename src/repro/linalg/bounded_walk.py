@@ -20,9 +20,10 @@ kth score; a wider slack only scores a few more items.
 the head, each step first asks, for every user still walking, where its own
 stop test would fire: a ``searchsorted`` of its kth normalized score in
 ``bounds + slack``, the very values the stop test compares.  The next chunk
-ends at the (upper) median of those positions, and is at least ``chunk``
-items long.  If that median is the end of the list, half or more of the users
-would score every remaining item, and the still-walking users are answered
+ends at the (upper) median of those positions, and is at least
+``_MIN_CHUNK`` items long.  If that median is the end of the list, half or
+more of the users would score every remaining item, and the still-walking
+users are answered
 by one ``blocked_mm_topk`` over the whole item matrix instead: that is
 their exact canonical top-K by itself, so nothing is merged, and scoring
 the head again costs less than the walk's per-chunk GEMMs and merges.
@@ -38,6 +39,13 @@ whose first sized chunk spans most of the list lost ground: LEMP on
 kdd-f32-hi at K=10 walks items 125 to 1 538 of 2 000 as one chunk, and
 went from 1.3× to 2.4–2.7× blocked MM.  ``scored`` counts ``n`` pairs for
 each user handed to MM, on top of those it scored before.
+
+**Who decides what.**  The caller decides only the head's length
+(``first``): LEMP's bucket, RECDEX's shared prefix ``B``, or ``k`` for
+RECDEX's per-user lesion.  The chunk floor is this module's
+``_MIN_CHUNK`` for every walk.  Neither can change an answer, since a user
+leaves only by the stop test; they set how many items the walk scores, and
+in how many GEMM and merge calls.
 
 **The head is one blocked MM call.**  Every user of a block scores every
 head item, so the head is answered by ``blocked_mm_topk`` over the head's
@@ -82,6 +90,9 @@ from repro.linalg.kernels import merge_topk, row_norms
 
 USER_BLOCK = 4096
 _ROUNDING_SLACK = 1e-6
+#: the shortest chunk after the head: a shorter one pays a GEMM and a merge
+#: call for too few items
+_MIN_CHUNK = 32
 
 
 def bounded_walk(
@@ -92,7 +103,6 @@ def bounded_walk(
     k: int,
     *,
     first: int,
-    chunk: int,
     max_norm: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact canonical top-``k`` of ``users @ items.T`` by a bounded walk.
@@ -102,7 +112,7 @@ def bounded_walk(
     every user ``u``, up to rounding; ``max_norm`` is at least every
     walked item's norm and scales the rounding slack.  The first
     ``max(first, k)`` items are scored against every user of a block in
-    one ``blocked_mm_topk`` call; each later ``chunk`` only against the
+    one ``blocked_mm_topk`` call; each later chunk only against the
     block's users still walking.  Zero-norm users score 0 everywhere and
     are never dropped: their canonical top-K is the ``k`` smallest ids,
     which only the whole list reveals.
@@ -128,7 +138,7 @@ def bounded_walk(
     for start in range(0, m, USER_BLOCK):
         rows = slice(start, start + USER_BLOCK)
         top_ids[rows], top_scores[rows], block_scored = _walk_block(
-            users[rows], items, order, reach, k, head_ids, head_items, chunk
+            users[rows], items, order, reach, k, head_ids, head_items
         )
         scored += block_scored
     return top_ids, top_scores, scored
@@ -142,7 +152,6 @@ def _walk_block(
     k: int,
     head_ids: np.ndarray,
     head_items: np.ndarray,
-    chunk: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``bounded_walk`` for one block of users; ``head_items`` (ids ``head_ids``) are scored by all.
 
@@ -174,7 +183,7 @@ def _walk_block(
             top_ids[active], top_scores[active] = blocked_mm_topk(users[active], items, k)
             scored += active.size * n
             break
-        stop = min(max(end, pos + chunk), n)
+        stop = min(max(end, pos + _MIN_CHUNK), n)
         ids = order[pos:stop]
         scores = users[active] @ items[ids].T
         scored += active.size * (stop - pos)

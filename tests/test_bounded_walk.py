@@ -65,12 +65,12 @@ def _mm_spy(monkeypatch, items):
     return rest, heads
 
 
-def _norm_walk(model, k, *, first, chunk):
+def _norm_walk(model, k, monkeypatch, *, first, chunk):
+    """LEMP's walk, called directly with a ``first``-item head and a chunk floor of ``chunk``."""
+    monkeypatch.setattr(walk_module, "_MIN_CHUNK", chunk)
     norms = row_norms(model.items)
     order = np.argsort(-norms, kind="stable")
-    return bounded_walk(
-        model.users, model.items, order, norms[order], k, first=first, chunk=chunk, max_norm=norms.max()
-    )
+    return bounded_walk(model.users, model.items, order, norms[order], k, first=first, max_norm=norms.max())
 
 
 def _assert_mm(model, k, ids, scores):
@@ -84,7 +84,7 @@ def test_isotropic_rest_goes_to_mm(k, monkeypatch):
     """Flat norms prune nothing: the rest goes to one MM call, and scores n pairs per user handed over."""
     model = _isotropic()
     calls, _ = _mm_spy(monkeypatch, model.items)
-    ids, scores, scored = _norm_walk(model, k, first=8, chunk=4)
+    ids, scores, scored = _norm_walk(model, k, monkeypatch, first=8, chunk=4)
     _assert_mm(model, k, ids, scores)
     assert len(calls) == 1
     head = max(8, k)
@@ -96,7 +96,7 @@ def test_concentrated_bounds_stop_the_walk(k, monkeypatch):
     """Long items answer every user, so the bounds stop the walk before the short items and MM is never called."""
     model = _concentrated()
     calls, _ = _mm_spy(monkeypatch, model.items)
-    ids, scores, scored = _norm_walk(model, k, first=4, chunk=2)
+    ids, scores, scored = _norm_walk(model, k, monkeypatch, first=4, chunk=2)
     _assert_mm(model, k, ids, scores)
     assert calls == []
     assert scored < model.m * model.n // 4
@@ -109,7 +109,7 @@ def test_flat_bounds_hand_every_user_to_mm_at_once(monkeypatch):
     users = np.random.default_rng(3).integers(-3, 4, size=(25, f)).astype(np.float64)
     model = MFModel(name="axes", users=users, items=items)
     calls, _ = _mm_spy(monkeypatch, model.items)
-    ids, scores, scored = _norm_walk(model, 2, first=6, chunk=3)
+    ids, scores, scored = _norm_walk(model, 2, monkeypatch, first=6, chunk=3)
     _assert_mm(model, 2, ids, scores)
     assert calls == [model.m]
     assert scored == model.m * (6 + model.n)
@@ -117,20 +117,22 @@ def test_flat_bounds_hand_every_user_to_mm_at_once(monkeypatch):
 
 @pytest.mark.parametrize("make", [_isotropic, _concentrated])
 @pytest.mark.parametrize("k", [1, 4])
-def test_lemp_answers_do_not_depend_on_chunk(make, k):
+def test_lemp_answers_do_not_depend_on_chunk(make, k, monkeypatch):
     model = make(seed=5)
-    for bucket in [1, 3, 16, 500]:
-        got = LempIndex(model, bucket_size=bucket).query_vectors(model.users, k)
+    for chunk in [1, 3, 16, 500]:
+        monkeypatch.setattr(walk_module, "_MIN_CHUNK", chunk)
+        got = LempIndex(model, bucket_size=chunk).query_vectors(model.users, k)
         _assert_mm(model, k, got.ids, got.scores)
 
 
 @pytest.mark.parametrize("make", [_isotropic, _concentrated])
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("shared", [True, False])
-def test_recdex_answers_do_not_depend_on_chunk(make, k, shared):
+def test_recdex_answers_do_not_depend_on_chunk(make, k, shared, monkeypatch):
     model = make(seed=6)
-    for walk_chunk in [1, 3, 16, 500]:
-        idx = RecdexIndex(model, n_clusters=3, block=4, walk_chunk=walk_chunk, shared=shared)
+    for chunk in [1, 3, 16, 500]:
+        monkeypatch.setattr(walk_module, "_MIN_CHUNK", chunk)
+        idx = RecdexIndex(model, n_clusters=3, block=4, shared=shared)
         got = idx.query_vectors(model.users, k)
         _assert_mm(model, k, got.ids, got.scores)
 
@@ -139,7 +141,8 @@ def test_recdex_items_visited_counts_mm_pairs(monkeypatch):
     """RECDEX's w̄ numerator includes n pairs for each user its walks hand to MM."""
     model = _isotropic(seed=2)
     calls, _ = _mm_spy(monkeypatch, model.items)
-    idx = RecdexIndex(model, n_clusters=2, block=4, walk_chunk=2)
+    monkeypatch.setattr(walk_module, "_MIN_CHUNK", 2)
+    idx = RecdexIndex(model, n_clusters=2, block=4)
     idx.query_vectors(model.users, 3)
     assert calls
     assert idx.items_visited >= model.m * 4 + sum(calls) * model.n
@@ -150,7 +153,7 @@ def test_one_head_call_per_lemp_block_and_recdex_cluster(monkeypatch):
     model = _isotropic(seed=4, m=50)
     k, first = 3, 8
     _, heads = _mm_spy(monkeypatch, model.items)
-    idx = RecdexIndex(model, n_clusters=3, block=first, walk_chunk=2)
+    idx = RecdexIndex(model, n_clusters=3, block=first)
     idx.build()
     members = np.bincount(assign(model.users, idx.centers)[0], minlength=len(idx.centers))
     got = idx.query_vectors(model.users, k)
@@ -191,6 +194,7 @@ def test_lemp_ties_straddling_head_and_chunk_match_mm(k, bucket, monkeypatch):
     """Bit-equal to MM with no rest call to MM: the head's and the merges' id tie-breaks decide."""
     model = _straddling_ties()
     calls, heads = _mm_spy(monkeypatch, model.items)
+    monkeypatch.setattr(walk_module, "_MIN_CHUNK", bucket)
     idx = LempIndex(model, bucket_size=bucket)
     got = idx.query_vectors(model.users, k)
     _assert_mm(model, k, got.ids, got.scores)
@@ -204,7 +208,8 @@ def test_lemp_ties_straddling_head_and_chunk_match_mm(k, bucket, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("block", [1, 2, 3])
 @pytest.mark.parametrize("shared", [True, False])
-def test_recdex_ties_straddling_head_and_chunk_match_mm(k, block, shared):
+def test_recdex_ties_straddling_head_and_chunk_match_mm(k, block, shared, monkeypatch):
     model = _straddling_ties()
-    got = RecdexIndex(model, n_clusters=2, block=block, walk_chunk=1, shared=shared).query_vectors(model.users, k)
+    monkeypatch.setattr(walk_module, "_MIN_CHUNK", 1)
+    got = RecdexIndex(model, n_clusters=2, block=block, shared=shared).query_vectors(model.users, k)
     _assert_mm(model, k, got.ids, got.scores)

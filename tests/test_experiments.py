@@ -54,6 +54,14 @@ def test_factories_cover_all_strategies(small_models):
         assert res.ids.shape == (small_models[0].m, 2)
 
 
+def test_factories_size_heads_from_item_count():
+    """The scale-1 grid serves LEMP with a bucket of n/16 and RECDEX with B = n/8, each floored at 32."""
+    for model in reference_grid(scale=1):
+        fac = strategy_factories(model)
+        assert fac["lemp"](model).bucket_size == max(32, model.n // 16)
+        assert fac["recdex"](model).block == max(32, model.n // 8)
+
+
 # --- fig6 ----------------------------------------------------------------
 
 def test_end_to_end_frame_shape(times, small_models):

@@ -78,7 +78,7 @@ def test_cbound_vectorized_matches_scalar():
 @pytest.fixture(scope="module")
 def built_index():
     model = tiny_model(m=80, n=50, f=6, seed=42)
-    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4)
+    idx = RecdexIndex(model, n_clusters=5, block=8)
     idx.build()
     return model, idx
 
@@ -130,7 +130,7 @@ def test_bounds_dominate_member_normalized_scores(built_index):
 
 def test_items_visited_counter(built_index):
     model, _ = built_index
-    idx = RecdexIndex(model, n_clusters=5, block=8, walk_chunk=4)
+    idx = RecdexIndex(model, n_clusters=5, block=8)
     idx.build()
     assert idx.items_visited == 0
     idx.query_vectors(model.users, 3)
@@ -246,7 +246,7 @@ def test_sampled_kmeans_sees_only_the_sample(sampled):
 def test_sampled_build_keeps_every_user_in_its_cone(sampled, monkeypatch):
     """θ_b covers every user, sampled or not, so no build user is answered by the out-of-cone fallback."""
     model, _ = sampled
-    idx = RecdexIndex(model, n_clusters=4, block=4, walk_chunk=2)
+    idx = RecdexIndex(model, n_clusters=4, block=4)
     idx.build()
     labels, _ = assign(model.users, idx.centers)
     assert np.all(angles_to(model.users, idx.centers[labels]) <= idx.theta_b[labels])
@@ -260,7 +260,7 @@ def test_sampled_build_keeps_every_user_in_its_cone(sampled, monkeypatch):
 @pytest.mark.parametrize("k", [1, 5])
 def test_sampled_build_answers_bit_equal_to_mm(sampled, shared, k):
     model, _ = sampled
-    got = RecdexIndex(model, n_clusters=4, block=4, walk_chunk=2, shared=shared).query_vectors(model.users, k)
+    got = RecdexIndex(model, n_clusters=4, block=4, shared=shared).query_vectors(model.users, k)
     ref = BlockedMM(model).query_vectors(model.users, k)
     np.testing.assert_array_equal(got.ids, ref.ids)
     np.testing.assert_array_equal(got.scores, ref.scores)

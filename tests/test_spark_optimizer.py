@@ -27,7 +27,7 @@ def test_recopt_serve_exact(spark, model):
         spark,
         users_df,
         model,
-        {"recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=8)},
+        {"recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16)},
         k=3,
         min_sample=16,
     )
@@ -47,7 +47,7 @@ def test_recopt_serve_three_way_report(spark, model):
         users_df,
         model,
         {
-            "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=8),
+            "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16),
             "lemp": lambda m: LempIndex(m, bucket_size=8),
         },
         k=2,

@@ -24,7 +24,7 @@ FACTORIES = {
     "lemp": lambda m: LempIndex(m, bucket_size=16),
     "fexipro-si": lambda m: FexiproIndex(m, variant="SI"),
     "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
-    "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=8),
+    "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16),
 }
 STRATEGIES = {"mm": BlockedMM, **FACTORIES}
 

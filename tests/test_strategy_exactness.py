@@ -32,9 +32,17 @@ STRATEGIES = {
     "lemp": lambda m: LempIndex(m, bucket_size=16),
     "fexipro-si": lambda m: FexiproIndex(m, variant="SI"),
     "fexipro-sir": lambda m: FexiproIndex(m, variant="SIR"),
-    "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=4),
-    "recdex-lesion": lambda m: RecdexIndex(m, n_clusters=4, block=16, walk_chunk=4, shared=False),
+    "recdex": lambda m: RecdexIndex(m, n_clusters=4, block=16),
+    "recdex-lesion": lambda m: RecdexIndex(m, n_clusters=4, block=16, shared=False),
 }
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _short_chunks():
+    """Chunks of at least 4 items, so the walks over these small models cross chunk boundaries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk_module, "_MIN_CHUNK", 4)
+        yield
 
 
 def int_model(*, m=12, n=15, f=4, lo=-4, hi=5, seed=0) -> MFModel:
@@ -328,7 +336,7 @@ def test_recdex_answers_vector_outside_every_cone_by_mm(shared, monkeypatch):
         return blocked_mm_topk(users, items, k)
 
     monkeypatch.setattr(recdex_module, "blocked_mm_topk", spy)
-    idx = RecdexIndex(model, n_clusters=4, block=16, walk_chunk=4, shared=shared)
+    idx = RecdexIndex(model, n_clusters=4, block=16, shared=shared)
     query = np.vstack([2 * ray, -ray])
     got = idx.query_vectors(query, 5)
     assert len(fallback) == 1
